@@ -1,5 +1,5 @@
 """Serving throughput: single-doc sequential vs batched multi-worker,
-and the threaded HTTP front end vs the asyncio gateway.
+and the asyncio gateway under concurrent connection churn.
 
 Characterises the ``repro.serve`` subsystem on one fitted pipeline:
 
@@ -9,19 +9,19 @@ Characterises the ``repro.serve`` subsystem on one fitted pipeline:
   :class:`~repro.serve.server.InferenceService` (micro-batching +
   encoded-sequence cache + per-category worker fan-out) at
   ``n_workers`` of 1 and 4;
-* **front ends** -- 64 concurrent connection-per-request HTTP clients
-  against the PR 1 ``ThreadingHTTPServer`` and against the asyncio
-  :class:`~repro.serve.gateway.GatewayServer`, identical service
-  underneath; request p50/p99 and requests/sec per tier are written to
-  ``BENCH_serving.json`` at the repo root.
+* **gateway** -- 64 concurrent connection-per-request HTTP clients
+  against the :class:`~repro.serve.gateway.GatewayServer`, a warm
+  inline service underneath; requests/sec, p50 and p99 are written to
+  ``BENCH_serving.json`` at the repo root together with the floors they
+  must clear.
 
 Prints the paper-style table and emits one ``SERVING_BENCH_JSON`` line
 (docs/sec per mode) for the bench trajectory.  Two acceptance bars are
 asserted at the end: batched multi-worker throughput at least twice the
-single-doc sequential baseline, and async-gateway throughput at least
-twice the threaded front end at concurrency 64.  ``REPRO_BENCH_ASSERT=0``
+single-doc sequential baseline, and the gateway's request rate, p50 and
+p99 within ``GATEWAY_FLOORS`` at concurrency 64.  ``REPRO_BENCH_ASSERT=0``
 disables both (noisy shared CI runners; the artifact still records the
-measured ratios).
+measured numbers).
 """
 
 from __future__ import annotations
@@ -38,22 +38,34 @@ import pytest
 
 from repro import GpConfig, ProSysConfig, ProSysPipeline
 from repro.serve import (
+    GatewayServer,
     InferenceService,
     ModelRegistry,
-    create_gateway,
-    create_server,
+    document_from_payload,
 )
 
 SERVING_CATEGORIES = ("earn", "grain", "trade")
 WORKER_COUNTS = (1, 4)
 MAX_DOCS = 64
 
-#: Front-end comparison shape: this many clients, one request each at a
-#: time, fresh connection per request (the load-balancer-facing pattern).
+#: Gateway load shape: this many clients, one request each at a time,
+#: fresh connection per request (the load-balancer-facing pattern).
 GATEWAY_CONCURRENCY = 64
 GATEWAY_REQUESTS = 384
 
-#: Where the front-end comparison is recorded (committed artifact).
+#: What the gateway must clear at that shape.  The rate floor is twice
+#: the retired threaded front end's 123.3 req/s (the old ">= 2x threaded"
+#: bar, made absolute).  The latency ceilings sit ~2x (p50) and ~4x
+#: (p99) above the slowest of nineteen runs on a 2-vCPU VM (p50 36-101
+#: ms, p99 50-116 ms): a noisy run passes, the threaded server's 2070 ms
+#: p99 would not.
+GATEWAY_FLOORS = {
+    "min_requests_per_second": 250.0,
+    "max_p50_ms": 200.0,
+    "max_p99_ms": 500.0,
+}
+
+#: Where the gateway measurement is recorded (committed artifact).
 BENCH_RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_serving.json"
 
 
@@ -176,7 +188,7 @@ def test_perf_serving_throughput(serving_pipeline, serving_docs, corpus, benchma
 
 
 # ----------------------------------------------------------------------
-# front ends: threaded HTTP server vs the asyncio gateway
+# the asyncio gateway under connection churn
 # ----------------------------------------------------------------------
 def _percentile_ms(sorted_latencies, fraction):
     index = min(
@@ -197,9 +209,9 @@ def _drive_front_end(port, n_requests, concurrency):
     lock = threading.Lock()
 
     def one_request(_index):
-        # Refused/reset connections (the threaded server's listen backlog
-        # overflows under burst) are retried, and the retry time stays on
-        # the clock -- the stall is that front end's cost, not noise.
+        # Refused/reset connections (a listen backlog overflowing under
+        # burst) are retried, and the retry time stays on the clock --
+        # the stall is the front end's cost, not noise.
         started = time.perf_counter()
         for _attempt in range(200):
             connection = http.client.HTTPConnection(
@@ -233,93 +245,55 @@ def _drive_front_end(port, n_requests, concurrency):
     return time.perf_counter() - started, sorted(latencies), retries[0]
 
 
-def _front_end_stats(wall, latencies, n_requests, retries):
-    return {
-        "requests_per_second": round(n_requests / wall, 1),
-        "p50_ms": round(_percentile_ms(latencies, 0.50), 3),
-        "p99_ms": round(_percentile_ms(latencies, 0.99), 3),
-        "connect_retries": retries,
-    }
-
-
-def test_perf_async_gateway_vs_threaded(serving_pipeline, corpus, benchmark):
-    """The tentpole SLO: at {GATEWAY_CONCURRENCY} concurrent clients the
-    asyncio gateway must carry at least twice the threaded front end's
-    request rate (thread-per-connection setup cost is the bottleneck the
-    gateway removes; the service underneath is identical and warm)."""
+def test_perf_gateway_front_end(serving_pipeline, corpus, benchmark):
+    """The serving SLO: at 64 concurrent connection-per-request clients
+    the gateway clears every floor in ``GATEWAY_FLOORS`` (request rate,
+    p50, p99) over a warm service."""
 
     def run():
-        results = {}
-        warm = {"documents": [
-            {"text": "wheat corn grain export tonnes shipment"}
-        ]}
-
-        service = _service(corpus, serving_pipeline, n_workers=0)
-        server = create_server(service, "127.0.0.1", 0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            service.classify_payloads(warm["documents"])  # warm encode cache
-            wall, latencies, retries = _drive_front_end(
-                server.server_address[1], GATEWAY_REQUESTS,
-                GATEWAY_CONCURRENCY,
-            )
-            results["threaded"] = _front_end_stats(
-                wall, latencies, GATEWAY_REQUESTS, retries
-            )
-        finally:
-            server.shutdown()
-            server.server_close()
-            service.close()
-
         service = _service(corpus, serving_pipeline, n_workers=0)
         try:
-            with create_gateway(service) as gateway:
-                service.classify_payloads(warm["documents"])
+            with GatewayServer(service) as gateway:
+                service.classify([document_from_payload(
+                    {"text": "wheat corn grain export tonnes shipment"}
+                )])  # warm the encode cache
                 wall, latencies, retries = _drive_front_end(
                     gateway.port, GATEWAY_REQUESTS, GATEWAY_CONCURRENCY
                 )
-                results["async_gateway"] = _front_end_stats(
-                    wall, latencies, GATEWAY_REQUESTS, retries
-                )
         finally:
             service.close()
-        return results
+        return {
+            "requests_per_second": round(GATEWAY_REQUESTS / wall, 1),
+            "p50_ms": round(_percentile_ms(latencies, 0.50), 3),
+            "p99_ms": round(_percentile_ms(latencies, 0.99), 3),
+            "connect_retries": retries,
+        }
 
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
-    threaded = results["threaded"]
-    async_gateway = results["async_gateway"]
-    speedup = (
-        async_gateway["requests_per_second"]
-        / threaded["requests_per_second"]
-    )
+    gateway = benchmark.pedantic(run, rounds=1, iterations=1)
 
-    print(f"\nFront ends at concurrency {GATEWAY_CONCURRENCY} "
+    print(f"\nGateway at concurrency {GATEWAY_CONCURRENCY} "
           f"({GATEWAY_REQUESTS} requests, connection per request)")
-    print(f"{'front end':16s}{'req/sec':>10s}{'p50 ms':>10s}{'p99 ms':>10s}")
+    print(f"{'':16s}{'req/sec':>10s}{'p50 ms':>10s}{'p99 ms':>10s}")
     print("-" * 46)
-    for name, stats in results.items():
-        print(f"{name:16s}{stats['requests_per_second']:>10.1f}"
-              f"{stats['p50_ms']:>10.2f}{stats['p99_ms']:>10.2f}")
-    print(f"async/threaded speedup: {speedup:.2f}x")
+    print(f"{'measured':16s}{gateway['requests_per_second']:>10.1f}"
+          f"{gateway['p50_ms']:>10.2f}{gateway['p99_ms']:>10.2f}")
+    print(f"{'floor':16s}{GATEWAY_FLOORS['min_requests_per_second']:>10.1f}"
+          f"{GATEWAY_FLOORS['max_p50_ms']:>10.2f}"
+          f"{GATEWAY_FLOORS['max_p99_ms']:>10.2f}")
 
     payload = {
-        "benchmark": "serving_front_ends",
+        "benchmark": "serving_gateway",
         "concurrency": GATEWAY_CONCURRENCY,
         "n_requests": GATEWAY_REQUESTS,
         "categories": list(SERVING_CATEGORIES),
-        "threaded": threaded,
-        "async_gateway": async_gateway,
-        "async_speedup": round(speedup, 2),
-        "slo": {"min_async_speedup": 2.0},
+        "gateway": gateway,
+        "floors": GATEWAY_FLOORS,
     }
     BENCH_RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     print("SERVING_BENCH_JSON " + json.dumps(payload))
 
     if os.environ.get("REPRO_BENCH_ASSERT", "1") != "0":
-        assert speedup >= 2.0, (
-            f"async gateway at {async_gateway['requests_per_second']:.1f} "
-            f"req/s is below twice the threaded front end's "
-            f"{threaded['requests_per_second']:.1f} req/s "
-            f"at concurrency {GATEWAY_CONCURRENCY}"
-        )
+        assert (gateway["requests_per_second"]
+                >= GATEWAY_FLOORS["min_requests_per_second"]), gateway
+        assert gateway["p50_ms"] <= GATEWAY_FLOORS["max_p50_ms"], gateway
+        assert gateway["p99_ms"] <= GATEWAY_FLOORS["max_p99_ms"], gateway

@@ -1,6 +1,6 @@
 """Load-generate against the serving subsystem and print its metrics.
 
-Trains a tiny model (or reuses ``--model``), starts the HTTP service on
+Trains a tiny model (or reuses ``--model``), starts the HTTP gateway on
 an ephemeral port, then fires concurrent ``/classify`` requests at it
 from a thread pool -- the concurrency is what lets the micro-batcher
 coalesce requests into vectorised batches.  Ends with the throughput
@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import tempfile
-import threading
 import time
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
@@ -27,7 +26,7 @@ from pathlib import Path
 from repro import GpConfig, ProSysConfig, ProSysPipeline, load_corpus, make_corpus
 from repro.corpus.sgml import write_sgml_files
 from repro.persistence import save_pipeline
-from repro.serve import InferenceService, ModelRegistry, create_server
+from repro.serve import GatewayServer, InferenceService, ModelRegistry
 
 
 def _prepare_model(args) -> tuple:
@@ -67,9 +66,8 @@ def main() -> int:
     registry = ModelRegistry(corpus)
     registry.register("default", model_dir)
     service = InferenceService(registry, n_workers=args.workers)
-    server = create_server(service, "127.0.0.1", 0)
-    port = server.server_address[1]
-    threading.Thread(target=server.serve_forever, daemon=True).start()
+    gateway = GatewayServer(service).start()
+    port = gateway.port
     print(f"service up on http://127.0.0.1:{port}")
 
     documents = [
@@ -103,8 +101,7 @@ def main() -> int:
         print("\n--- /metrics ---")
         print(response.read().decode("utf-8"))
 
-    server.shutdown()
-    server.server_close()
+    gateway.close()
     service.close()
     return 0
 

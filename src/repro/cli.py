@@ -11,7 +11,7 @@ Subcommands::
     python -m repro.cli info     --model model/
     python -m repro.cli encode   --model model/ --data data/ --store store/
     python -m repro.cli serve    --model model/ --data data/ --port 8080 \
-                                 --async --max-inflight 256
+                                 --max-inflight 256
     python -m repro.cli rollout  --url http://127.0.0.1:8080 \
                                  --candidate v2 --drive data/
     python -m repro.cli drift-eval --data data/ --features mi --tournaments 80
@@ -211,24 +211,19 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--drift-detect", action="store_true",
                        help="run per-category drift detection over served "
                             "traffic; state is exposed on GET /drift")
-    serve.add_argument("--async", dest="use_async", action="store_true",
-                       help="serve through the asyncio gateway (admission "
-                            "control, request shedding, per-route latency "
-                            "histograms) instead of the threaded server")
     serve.add_argument("--max-inflight", type=int, default=256,
                        help="admitted-but-unanswered classify bound before "
-                            "shedding with 503 (asyncio gateway only)")
+                            "shedding with 503")
     serve.add_argument("--rate", type=float, default=None,
                        help="sustained classify requests/second before "
-                            "shedding with 429 (asyncio gateway only)")
+                            "shedding with 429")
     serve.add_argument("--burst", type=int, default=32,
                        help="rate-limit burst headroom (with --rate)")
     serve.add_argument("--max-queue", type=int, default=0,
                        help="micro-batcher queue bound; 0 = unbounded")
     serve.add_argument("--max-pipeline", type=int, default=8,
                        help="HTTP/1.1 pipelined requests queued per "
-                            "connection before 503 + close (asyncio "
-                            "gateway only)")
+                            "connection before 503 + close")
     serve.add_argument("--shadow", type=float, default=None,
                        metavar="FRACTION",
                        help="start a rollout of --candidate at launch, "
@@ -635,8 +630,17 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    import signal
+    import threading
+
     from repro.runtime.events import ConsoleSink, EventBus
-    from repro.serve import InferenceService, ModelRegistry, create_server
+    from repro.serve import (
+        AdmissionController,
+        GatewayServer,
+        InferenceService,
+        ModelRegistry,
+        RoutePolicy,
+    )
 
     corpus = load_corpus(args.data)
     registry = ModelRegistry(corpus)
@@ -683,32 +687,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"rollout started: {report['incumbent']} -> "
               f"{report['candidate']} (shadow={args.shadow:g}, "
               f"canary={args.canary:g})")
-    if args.use_async:
-        return _serve_async(args, service)
-    server = create_server(service, args.host, args.port)
-    host, port = server.server_address[:2]
-    print(f"serving on http://{host}:{port}  "
-          f"(workers={args.workers}, batch={args.batch_size}, "
-          f"deadline={args.max_delay_ms:g}ms)")
-    print("endpoints: GET /healthz /metrics /models /rollout"
-          + (" /drift" if args.drift_detect else "")
-          + ", POST /classify /track /reload")
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        print("\nshutting down")
-    finally:
-        server.shutdown()
-        server.server_close()
-        service.close()
-    return 0
-
-
-def _serve_async(args: argparse.Namespace, service) -> int:
-    import threading
-
-    from repro.serve import AdmissionController, GatewayServer, RoutePolicy
-
     admission = AdmissionController(
         policies={
             "classify": RoutePolicy(
@@ -723,21 +701,32 @@ def _serve_async(args: argparse.Namespace, service) -> int:
         service, host=args.host, port=args.port, admission=admission,
         max_pipeline=args.max_pipeline,
     ).start()
-    rate_note = f", rate={args.rate:g}/s" if args.rate else ""
-    print(f"serving (asyncio) on http://{args.host}:{gateway.port}  "
-          f"(workers={args.workers}, batch={args.batch_size}, "
-          f"max_inflight={args.max_inflight}{rate_note})")
-    print("endpoints: GET /healthz /metrics /models /rollout"
-          + (" /drift" if args.drift_detect else "")
-          + ", POST /classify /track /reload /rollout, DELETE /rollout")
+    # SIGTERM (service managers, Popen.terminate) takes the Ctrl-C path
+    # below, so the worker pool is shut down instead of orphaned.  A
+    # second SIGTERM during shutdown kills the process outright.
+    previous_sigterm = signal.signal(signal.SIGTERM, _raise_interrupt)
     try:
+        rate_note = f", rate={args.rate:g}/s" if args.rate else ""
+        print(f"serving on http://{args.host}:{gateway.port}  "
+              f"(workers={args.workers}, batch={args.batch_size}, "
+              f"deadline={args.max_delay_ms:g}ms, "
+              f"max_inflight={args.max_inflight}{rate_note})")
+        print("endpoints: GET /healthz /metrics /models /rollout"
+              + (" /drift" if args.drift_detect else "")
+              + ", POST /classify /track /reload /rollout, DELETE /rollout",
+              flush=True)
         threading.Event().wait()
     except KeyboardInterrupt:
         print("\nshutting down")
     finally:
+        signal.signal(signal.SIGTERM, previous_sigterm)
         gateway.close()
         service.close()
     return 0
+
+
+def _raise_interrupt(_signum, _frame) -> None:
+    raise KeyboardInterrupt
 
 
 def _cmd_rollout(args: argparse.Namespace) -> int:

@@ -1,26 +1,22 @@
 """Serving subsystem: batched, parallel, observable inference.
 
 Turns saved pipeline directories (``repro.persistence``) into a
-long-lived service::
+long-lived service behind one HTTP front end, the asyncio gateway::
 
     from repro import load_corpus
-    from repro.serve import InferenceService, ModelRegistry, create_server
+    from repro.serve import GatewayServer, InferenceService, ModelRegistry
 
     registry = ModelRegistry(load_corpus("data/"))
     registry.register("default", "model/")
     service = InferenceService(registry, n_workers=4)
-    server = create_server(service, "0.0.0.0", 8080)
-    server.serve_forever()
-
-or, for real traffic, the asyncio gateway with admission control::
-
-    from repro.serve import create_gateway
-
-    gateway = create_gateway(service, "0.0.0.0", 8080).start()
+    gateway = GatewayServer(service, "0.0.0.0", 8080).start()
+    ...
+    gateway.close()
+    service.close()
 
 or from the command line::
 
-    python -m repro.cli serve --model model/ --data data/ --port 8080 --async
+    python -m repro.cli serve --model model/ --data data/ --port 8080
 
 Components: :mod:`~repro.serve.registry` (named models + hot reload),
 :mod:`~repro.serve.batcher` (deadline micro-batching),
@@ -29,9 +25,9 @@ store/shared-memory dataset handoff),
 :mod:`~repro.serve.cache` (encoded-sequence LRU),
 :mod:`~repro.serve.metrics` (counters/gauges/histograms),
 :mod:`~repro.serve.admission` (queues, shedding, rate limits),
-:mod:`~repro.serve.gateway` (asyncio HTTP front end),
+:mod:`~repro.serve.gateway` (the asyncio HTTP front end),
 :mod:`~repro.serve.rollout` (shadow/canary promotion),
-:mod:`~repro.serve.server` (the service + threaded HTTP front-end).
+:mod:`~repro.serve.server` (the inference service the gateway exposes).
 """
 
 from repro.serve.admission import (
@@ -42,15 +38,11 @@ from repro.serve.admission import (
 )
 from repro.serve.batcher import BatcherClosed, BatcherSaturated, MicroBatcher
 from repro.serve.cache import LruCache, sequence_key, token_fingerprint
-from repro.serve.gateway import GatewayServer, create_gateway
+from repro.serve.gateway import GatewayServer
 from repro.serve.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.serve.registry import ModelEntry, ModelRegistry
 from repro.serve.rollout import RolloutConfig, RolloutManager
-from repro.serve.server import (
-    InferenceService,
-    create_server,
-    document_from_payload,
-)
+from repro.serve.server import InferenceService, document_from_payload
 from repro.serve.workers import (
     CRASH_CATEGORY,
     PoolClosed,
@@ -71,7 +63,6 @@ __all__ = [
     "sequence_key",
     "token_fingerprint",
     "GatewayServer",
-    "create_gateway",
     "Counter",
     "Gauge",
     "Histogram",
@@ -81,7 +72,6 @@ __all__ = [
     "RolloutConfig",
     "RolloutManager",
     "InferenceService",
-    "create_server",
     "document_from_payload",
     "CRASH_CATEGORY",
     "PoolClosed",

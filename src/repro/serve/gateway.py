@@ -1,11 +1,7 @@
-"""Asyncio serving gateway: non-blocking HTTP in front of the batcher.
+"""Asyncio serving gateway: the HTTP front end of the inference service.
 
-The PR 1 front end is a ``ThreadingHTTPServer`` -- one OS thread per
-connection.  That shape is fine at tens of connections and fatal at tens
-of thousands: each idle keep-alive connection pins a stack, and the
-thread scheduler becomes the bottleneck long before the classifier does.
-This gateway replaces it with a single-threaded ``asyncio`` front end
-(stdlib ``asyncio.start_server``, no new dependencies):
+A single-threaded ``asyncio`` front end (stdlib ``asyncio.start_server``,
+no new dependencies) in front of :class:`InferenceService`:
 
 * one event loop owns every socket; parsing and response writes are
   non-blocking, so idle connections cost a coroutine, not a thread;
@@ -20,8 +16,7 @@ This gateway replaces it with a single-threaded ``asyncio`` front end
 * every route gets a latency histogram (``gateway_<route>_seconds``,
   p50/p99 in ``/metrics``).
 
-The gateway serves the same routes as the threaded server plus the
-rollout surface::
+Routes (a known path with the wrong method answers 405)::
 
     GET    /healthz   liveness (503 + status=degraded drains the node)
     GET    /metrics   text exposition (gateway + service + engine)
@@ -35,8 +30,7 @@ rollout surface::
     DELETE /rollout   abort the live rollout
 
 :class:`GatewayServer` wraps the loop in a daemon thread so synchronous
-callers (CLI, tests, benchmarks) get the same start/close lifecycle as
-``create_server``.
+callers (CLI, tests, benchmarks) get a plain start/close lifecycle.
 """
 
 from __future__ import annotations
@@ -638,14 +632,3 @@ class GatewayServer:
             )
             self._route_seconds[route] = histogram
         histogram.observe(seconds)
-
-
-def create_gateway(
-    service: InferenceService,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    admission: Optional[AdmissionController] = None,
-) -> GatewayServer:
-    """A (not yet started) gateway bound to ``service``; mirrors
-    :func:`repro.serve.server.create_server` for the asyncio tier."""
-    return GatewayServer(service, host=host, port=port, admission=admission)

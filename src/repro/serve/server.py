@@ -1,4 +1,4 @@
-"""The inference service and its stdlib HTTP front-end.
+"""The inference service behind the HTTP gateway.
 
 :class:`InferenceService` wires the serving subsystem together:
 
@@ -12,31 +12,14 @@
 * everything is observable through one
   :class:`~repro.serve.metrics.MetricsRegistry`.
 
-:func:`create_server` exposes the service over HTTP
-(``ThreadingHTTPServer`` -- one thread per connection feeding the shared
-batcher, which is exactly what makes micro-batching pay off):
-
-    GET  /healthz   liveness + model inventory (503 when degraded)
-    GET  /metrics   plain-text metrics exposition
-    GET  /models    registered model descriptions
-    GET  /drift     per-category drift-detector state (when enabled)
-    GET  /rollout   live shadow/canary rollout report (when one exists)
-    POST /classify  {"documents": [{"id", "title", "body"} | {"text": ...}],
-                     "model": optional}
-    POST /track     {"text": ..., "category": ..., "model": optional}
-    POST /reload    {"model": optional} -- hot reload if manifest changed
-
-The asyncio tier (:mod:`repro.serve.gateway`) serves the same service
-behind admission control; this threaded server remains for small
-deployments and as the benchmark baseline.
+The service speaks Python, not HTTP: :class:`repro.serve.gateway.GatewayServer`
+exposes it over the network, and tests and benchmarks call it directly.
 """
 
 from __future__ import annotations
 
-import json
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from concurrent.futures import Future
@@ -45,18 +28,13 @@ from repro.classify.streaming import StreamingClassifier
 from repro.corpus.document import Document
 from repro.errors import PersistenceError
 from repro.runtime.events import EventBus
-from repro.serve.batcher import BatcherClosed, BatcherSaturated, MicroBatcher
+from repro.serve.batcher import MicroBatcher
 from repro.serve.cache import LruCache, sequence_key, token_fingerprint
 from repro.gp.engine import shared_metrics
 from repro.serve.metrics import MetricsRegistry, render_snapshot
 from repro.serve.registry import ModelRegistry
 from repro.serve.rollout import RolloutConfig, RolloutManager
-from repro.serve.workers import (
-    PoolClosed,
-    SequenceRef,
-    WorkerCrash,
-    WorkerPool,
-)
+from repro.serve.workers import SequenceRef, WorkerPool
 
 
 def document_from_payload(payload: dict, fallback_id: int = 0) -> Document:
@@ -226,16 +204,6 @@ class InferenceService:
             for index, payload in enumerate(payloads)
         ]
         return self.submit_documents(documents, model=model)
-
-    def classify_payloads(
-        self, payloads: Sequence[dict], model: Optional[str] = None
-    ) -> List[dict]:
-        """Classify raw request payloads (see :func:`document_from_payload`)."""
-        documents = [
-            document_from_payload(payload, fallback_id=index)
-            for index, payload in enumerate(payloads)
-        ]
-        return self.classify(documents, model=model)
 
     def track(
         self, text: str, category: str, model: Optional[str] = None
@@ -740,155 +708,3 @@ class InferenceService:
         self.metrics.gauge("cache_hit_rate", "hits / lookups").set(
             stats["hit_rate"]
         )
-
-
-# ----------------------------------------------------------------------
-# HTTP front-end
-# ----------------------------------------------------------------------
-class _RequestHandler(BaseHTTPRequestHandler):
-    """Routes HTTP requests into the bound :class:`InferenceService`."""
-
-    service: InferenceService  # bound by create_server
-    protocol_version = "HTTP/1.1"
-
-    # -- helpers -------------------------------------------------------
-    def _send_json(self, payload: dict, status: int = 200) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_text(self, text: str, status: int = 200) -> None:
-        body = text.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "text/plain; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_error_json(self, status: int, message: str) -> None:
-        self._send_json({"error": message}, status=status)
-
-    def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length", 0))
-        raw = self.rfile.read(length) if length else b""
-        if not raw:
-            raise ValueError("empty request body")
-        payload = json.loads(raw.decode("utf-8"))
-        if not isinstance(payload, dict):
-            raise ValueError("request body must be a JSON object")
-        return payload
-
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        pass  # requests are observable through /metrics, not stderr
-
-    def _observe(self, route: str) -> None:
-        self.service.metrics.counter(
-            "http_requests_total", "HTTP requests handled"
-        ).inc()
-        self.service.metrics.counter(f"http_{route}_total").inc()
-
-    # -- routes --------------------------------------------------------
-    def do_GET(self) -> None:  # noqa: N802 - stdlib naming
-        path = self.path.split("?", 1)[0].rstrip("/") or "/"
-        if path == "/healthz":
-            self._observe("healthz")
-            health = self.service.health()
-            self._send_json(
-                health, status=200 if health.get("status") == "ok" else 503
-            )
-        elif path == "/metrics":
-            self._observe("metrics")
-            self._send_text(self.service.metrics_text())
-        elif path == "/models":
-            self._observe("models")
-            self._send_json({"models": self.service.registry.describe()})
-        elif path == "/drift":
-            self._observe("drift")
-            try:
-                self._send_json(self.service.drift_report())
-            except KeyError as error:
-                self.service.metrics.counter("http_errors_total").inc()
-                self._send_error_json(
-                    404, str(error.args[0] if error.args else error)
-                )
-        elif path == "/rollout":
-            self._observe("rollout")
-            report = self.service.rollout_report()
-            if report is None:
-                self._send_error_json(404, "no rollout is live")
-            else:
-                self._send_json(report)
-        else:
-            self._send_error_json(404, f"unknown path {self.path!r}")
-
-    def do_POST(self) -> None:  # noqa: N802 - stdlib naming
-        path = self.path.split("?", 1)[0].rstrip("/")
-        with self.service.metrics.histogram(
-            "http_request_seconds", "HTTP request latency"
-        ).time():
-            try:
-                if path == "/classify":
-                    self._observe("classify")
-                    payload = self._read_json()
-                    documents = payload.get("documents")
-                    if not isinstance(documents, list) or not documents:
-                        raise ValueError("'documents' must be a non-empty list")
-                    results = self.service.classify_payloads(
-                        documents, model=payload.get("model")
-                    )
-                    self._send_json({"results": results})
-                elif path == "/track":
-                    self._observe("track")
-                    payload = self._read_json()
-                    text = payload.get("text")
-                    category = payload.get("category")
-                    if not text or not category:
-                        raise ValueError("'text' and 'category' are required")
-                    self._send_json(
-                        self.service.track(
-                            text, category, model=payload.get("model")
-                        )
-                    )
-                elif path == "/reload":
-                    self._observe("reload")
-                    try:
-                        payload = self._read_json()
-                    except ValueError:
-                        payload = {}
-                    self._send_json(self.service.reload(payload.get("model")))
-                else:
-                    self._send_error_json(404, f"unknown path {self.path!r}")
-                    return
-            except (ValueError, json.JSONDecodeError) as error:
-                self.service.metrics.counter("http_errors_total").inc()
-                self._send_error_json(400, str(error))
-            except KeyError as error:
-                self.service.metrics.counter("http_errors_total").inc()
-                self._send_error_json(404, str(error.args[0] if error.args else error))
-            except (PersistenceError, BatcherClosed, BatcherSaturated,
-                    PoolClosed, WorkerCrash) as error:
-                # Backend trouble, not caller error: the store is
-                # damaged, the service is shutting down, or a worker
-                # died mid-batch.  Retryable, hence 503.
-                self.service.metrics.counter("http_errors_total").inc()
-                self._send_error_json(503, f"{type(error).__name__}: {error}")
-            except Exception as error:  # noqa: BLE001 - boundary
-                self.service.metrics.counter("http_errors_total").inc()
-                self._send_error_json(500, f"{type(error).__name__}: {error}")
-
-
-def create_server(
-    service: InferenceService, host: str = "127.0.0.1", port: int = 0
-) -> ThreadingHTTPServer:
-    """An HTTP server bound to ``host:port`` (0 = ephemeral) and ``service``.
-
-    The caller owns the lifecycle: ``serve_forever()`` to run,
-    ``shutdown()`` + ``server_close()`` then ``service.close()`` to stop.
-    """
-    handler = type("BoundHandler", (_RequestHandler,), {"service": service})
-    server = ThreadingHTTPServer((host, port), handler)
-    server.daemon_threads = True
-    return server

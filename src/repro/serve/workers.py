@@ -169,7 +169,11 @@ def _worker_main(worker_id, classifiers, task_queue, result_queue, store_root):
     # A terminal Ctrl-C reaches the whole foreground process group;
     # shutdown is the parent's job (sentinel / terminate), so workers
     # must not die mid-protocol with a KeyboardInterrupt traceback.
+    # SIGTERM goes back to its default action (the serving parent may
+    # have turned it into Ctrl-C), so terminate() still kills a stuck
+    # worker.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     while True:
         message = task_queue.get()
         if message is None:

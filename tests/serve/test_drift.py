@@ -1,12 +1,11 @@
 """Serving-side drift detection: the monitor wiring and the /drift view."""
 
 import json
-import threading
 import urllib.request
 
 import pytest
 
-from repro.serve import InferenceService, ModelRegistry, create_server
+from repro.serve import GatewayServer, InferenceService, ModelRegistry
 
 
 @pytest.fixture(scope="module")
@@ -26,12 +25,8 @@ def drift_service(serve_corpus, model_dir):
 
 @pytest.fixture(scope="module")
 def drift_http(drift_service):
-    server = create_server(drift_service, "127.0.0.1", 0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_address[1]}"
-    server.shutdown()
-    server.server_close()
+    with GatewayServer(drift_service) as gateway:
+        yield f"http://127.0.0.1:{gateway.port}"
 
 
 def test_drift_detection_is_off_by_default(serve_corpus, model_dir):

@@ -16,7 +16,6 @@ from repro.serve import (
     InferenceService,
     ModelRegistry,
     RoutePolicy,
-    create_gateway,
 )
 from repro.serve.metrics import MetricsRegistry
 
@@ -40,7 +39,7 @@ def service(registry):
 
 @pytest.fixture(scope="module")
 def gateway(service):
-    with create_gateway(service) as gateway:
+    with GatewayServer(service) as gateway:
         yield gateway
 
 
@@ -61,7 +60,7 @@ def _request(gateway, method, path, payload=None, timeout=60):
 
 
 # ----------------------------------------------------------------------
-# HTTP parity with the threaded server
+# routes
 # ----------------------------------------------------------------------
 def test_classify_round_trip_matches_pipeline(gateway, service, serve_corpus):
     pipeline = service.registry.get().pipeline
@@ -92,7 +91,9 @@ def test_healthz_models_metrics_drift(gateway):
     assert json.loads(body)["status"] == "ok"
     status, body, _ = _request(gateway, "GET", "/models")
     assert status == 200
-    assert json.loads(body)["models"][0]["name"] == "default"
+    model = json.loads(body)["models"][0]
+    assert model["name"] == "default"
+    assert model["categories"]
     status, body, _ = _request(gateway, "GET", "/metrics")
     assert status == 200
     text = body.decode()

@@ -10,11 +10,11 @@ import pytest
 
 from repro.runtime.events import EventBus
 from repro.serve import (
+    GatewayServer,
     InferenceService,
     ModelRegistry,
     RolloutConfig,
     RolloutManager,
-    create_gateway,
 )
 from repro.serve.metrics import MetricsRegistry
 from repro.serve.rollout import _FractionGate
@@ -302,7 +302,7 @@ def test_rollout_lifecycle_over_the_gateway(rollout_service, serve_corpus):
         {"id": doc.doc_id, "title": doc.title, "body": doc.body}
         for doc in docs
     ]
-    with create_gateway(service) as gateway:
+    with GatewayServer(service) as gateway:
         def call(method, path, payload=None):
             connection = http.client.HTTPConnection(
                 "127.0.0.1", gateway.port, timeout=60

@@ -1,4 +1,9 @@
-"""End-to-end serving: parity with the pipeline, HTTP round trip, metrics."""
+"""End-to-end serving: parity with the pipeline, HTTP round trip through
+the gateway to a forked worker pool, metrics.
+
+Gateway mechanics that never reach the pool (admission, pipelining) are
+tested in ``test_gateway.py`` over inline evaluation.
+"""
 
 import json
 import threading
@@ -8,7 +13,7 @@ import urllib.request
 import numpy as np
 import pytest
 
-from repro.serve import InferenceService, ModelRegistry, create_server
+from repro.serve import GatewayServer, InferenceService, ModelRegistry
 
 
 @pytest.fixture(scope="module")
@@ -24,12 +29,8 @@ def service(serve_corpus, model_dir):
 
 @pytest.fixture(scope="module")
 def http_server(service):
-    server = create_server(service, "127.0.0.1", 0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_address[1]}"
-    server.shutdown()
-    server.server_close()
+    with GatewayServer(service) as gateway:
+        yield f"http://127.0.0.1:{gateway.port}"
 
 
 def _get(url):
