@@ -7,8 +7,8 @@ Characterises the ``repro.serve`` subsystem on one fitted pipeline:
   ``ProSysPipeline.predict_topics`` call per document;
 * **batched** -- the same documents pushed through
   :class:`~repro.serve.server.InferenceService` (micro-batching +
-  encoded-sequence cache + per-category worker fan-out) at
-  ``n_workers`` of 1 and 4;
+  encoded-sequence cache + worker fan-out, one job per worker over a
+  group of categories) at ``n_workers`` of 1 and 4;
 * **gateway** -- 64 concurrent connection-per-request HTTP clients
   against the :class:`~repro.serve.gateway.GatewayServer`, a warm
   inline service underneath; requests/sec, p50 and p99 are written to
@@ -96,7 +96,7 @@ def _service(corpus, pipeline, n_workers):
     registry = ModelRegistry(corpus)
     registry.add_pipeline("bench", pipeline)
     return InferenceService(
-        registry, n_workers=n_workers, max_batch_size=16, max_delay=0.005
+        registry, n_workers=n_workers, max_batch_size=16
     )
 
 
@@ -133,7 +133,7 @@ def test_perf_serving_throughput(serving_pipeline, serving_docs, corpus, benchma
             service.close()
 
         # Batched: the whole document set submitted at once, coalesced by
-        # the micro-batcher, categories fanned across the worker pool.
+        # the micro-batcher, categories grouped one job per worker.
         # A fresh service per worker count keeps the cache cold.
         for n_workers in WORKER_COUNTS:
             service = _service(corpus, serving_pipeline, n_workers)

@@ -201,8 +201,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="evaluation worker processes (0 = inline)")
     serve.add_argument("--batch-size", type=int, default=16,
                        help="micro-batch size limit")
-    serve.add_argument("--max-delay-ms", type=float, default=20.0,
-                       help="micro-batch deadline in milliseconds")
     serve.add_argument("--cache-size", type=int, default=4096,
                        help="encoded-sequence LRU capacity (0 disables)")
     serve.add_argument("--store", type=Path, default=None, metavar="STOREDIR",
@@ -661,7 +659,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         registry,
         n_workers=args.workers,
         max_batch_size=args.batch_size,
-        max_delay=args.max_delay_ms / 1000.0,
         cache_size=args.cache_size,
         max_queue=args.max_queue,
         data_store=data_store,
@@ -709,7 +706,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         rate_note = f", rate={args.rate:g}/s" if args.rate else ""
         print(f"serving on http://{args.host}:{gateway.port}  "
               f"(workers={args.workers}, batch={args.batch_size}, "
-              f"deadline={args.max_delay_ms:g}ms, "
               f"max_inflight={args.max_inflight}{rate_note})")
         print("endpoints: GET /healthz /metrics /models /rollout"
               + (" /drift" if args.drift_detect else "")

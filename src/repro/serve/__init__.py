@@ -19,9 +19,11 @@ or from the command line::
     python -m repro.cli serve --model model/ --data data/ --port 8080
 
 Components: :mod:`~repro.serve.registry` (named models + hot reload),
-:mod:`~repro.serve.batcher` (deadline micro-batching),
-:mod:`~repro.serve.workers` (crash-supervised process pool, zero-copy
-store/shared-memory dataset handoff),
+:mod:`~repro.serve.batcher` (micro-batching that dispatches whatever is
+queued the moment it is free),
+:mod:`~repro.serve.workers` (crash-supervised process pool, one job per
+worker over a group of categories, zero-copy store/shared-memory dataset
+handoff),
 :mod:`~repro.serve.cache` (encoded-sequence LRU),
 :mod:`~repro.serve.metrics` (counters/gauges/histograms),
 :mod:`~repro.serve.admission` (queues, shedding, rate limits),

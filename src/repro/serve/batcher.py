@@ -4,21 +4,30 @@ The RLGP evaluator is dramatically faster per document when documents are
 packed and evaluated together (see ``repro.gp.recurrent``), but a service
 receives requests one at a time.  The :class:`MicroBatcher` sits between
 the two: callers ``submit()`` items and get a future; a drain thread
-collects whatever arrives within a deadline window (or until the batch is
-full) and hands the whole batch to one handler call.
+hands queued items to one handler call at a time.
 
-Latency contract: an item waits at most ``max_delay`` seconds beyond its
-arrival before its batch is dispatched -- the first item of a batch opens
-the window, a full batch closes it early.
+Dispatch contract: whenever the drain thread is free it takes the oldest
+queued item plus everything else already queued (up to
+``max_batch_size``) and calls the handler at once -- it never sleeps
+waiting for company.  Items that arrive while the handler runs form the
+next batch, so batches grow with load on their own and a lone request
+pays no waiting at all.  :meth:`MicroBatcher.submit_many` enqueues a
+whole request in one step, so a request of at most ``max_batch_size``
+items reaching an idle batcher is exactly one handler call.
+
+Shutdown and overload contracts: every future returned before
+:meth:`MicroBatcher.close` resolves (the drain thread empties the queue
+before it exits), and :meth:`MicroBatcher.submit_many` is all-or-nothing
+at the ``max_queue`` bound.
 """
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
+from collections import deque
 from concurrent.futures import Future
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Deque, List, Optional, Sequence
 
 from repro.serve.metrics import MetricsRegistry
 
@@ -54,8 +63,7 @@ class MicroBatcher:
         handler: called with the list of payloads of one batch; must
             return one result per payload, in order.  An exception fails
             every future of the batch.
-        max_batch_size: dispatch as soon as this many items are pending.
-        max_delay: seconds the first item of a batch may wait for company.
+        max_batch_size: most items one handler call receives.
         max_queue: queued-item bound; beyond it :meth:`submit` raises
             :class:`BatcherSaturated` instead of growing memory
             (0 = unbounded, the historical behaviour).
@@ -67,23 +75,26 @@ class MicroBatcher:
         self,
         handler: Callable[[List[object]], Sequence[object]],
         max_batch_size: int = 16,
-        max_delay: float = 0.02,
         max_queue: int = 0,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if max_batch_size < 1:
             raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
-        if max_delay < 0:
-            raise ValueError(f"max_delay must be >= 0, got {max_delay}")
         if max_queue < 0:
             raise ValueError(f"max_queue must be >= 0, got {max_queue}")
         self.handler = handler
         self.max_batch_size = max_batch_size
-        self.max_delay = max_delay
         self.max_queue = max_queue
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._queue: "queue.Queue[Optional[_Item]]" = queue.Queue()
-        self._closed = False
+        # Reentrant: submit_many holds it across its per-item submit()
+        # calls, which is what makes a request one step for the drain
+        # thread and all-or-nothing at the queue bound.
+        self._lock = threading.RLock()
+        self._pending: Deque[_Item] = deque()  # guarded by _lock
+        self._closed = False  # guarded by _lock
+        #: Set while items are pending or the batcher is closing; only
+        #: changed under _lock, so the drain thread never sleeps on work.
+        self._wake = threading.Event()
         self._batch_sizes = self.metrics.histogram(
             "batcher_batch_size", "documents per dispatched batch"
         )
@@ -107,36 +118,54 @@ class MicroBatcher:
     # ------------------------------------------------------------------
     def submit(self, payload: object) -> Future:
         """Enqueue one item; the future resolves to its handler result."""
-        if self._closed:
-            raise BatcherClosed("batcher is closed")
-        if self.max_queue and self._queue.qsize() >= self.max_queue:
-            self._saturated.inc()
-            raise BatcherSaturated(
-                f"batcher queue at its {self.max_queue}-item bound"
-            )
-        item = _Item(payload)
-        self._queue.put(item)
-        self._depth.set(self._queue.qsize())
+        with self._lock:
+            self._admit(1)
+            item = _Item(payload)
+            self._pending.append(item)
+            self._wake.set()
+        self._depth.set(self.queue_depth)
         return item.future
 
     def submit_many(self, payloads: Sequence[object]) -> List[Future]:
-        """Enqueue several items at once (they may still split batches)."""
-        return [self.submit(payload) for payload in payloads]
+        """Enqueue a whole request in one step, or none of it.
+
+        The drain thread cannot take part of the request while the rest
+        is still being queued, so a request of at most ``max_batch_size``
+        items that reaches an idle batcher is one handler call.  At the
+        ``max_queue`` bound nothing is queued and
+        :class:`BatcherSaturated` is raised.
+        """
+        with self._lock:
+            self._admit(len(payloads))
+            return [self.submit(payload) for payload in payloads]
+
+    def _admit(self, n_items: int) -> None:
+        """Refuse ``n_items`` more when closed or past the queue bound.
+
+        Callers hold ``_lock`` across this check and their enqueue, so
+        the two are one step.
+        """
+        with self._lock:
+            if self._closed:
+                raise BatcherClosed("batcher is closed")
+            if self.max_queue and len(self._pending) + n_items > self.max_queue:
+                self._saturated.inc()
+                raise BatcherSaturated(
+                    f"batcher queue at its {self.max_queue}-item bound"
+                )
 
     @property
     def queue_depth(self) -> int:
-        return self._queue.qsize()
-
-    @property
-    def is_closed(self) -> bool:
-        return self._closed
+        with self._lock:
+            return len(self._pending)
 
     def close(self, timeout: Optional[float] = 5.0) -> None:
         """Stop accepting work, drain what is queued, join the thread."""
-        if self._closed:
-            return
-        self._closed = True
-        self._queue.put(None)  # wake the drain loop
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            self._wake.set()
         self._thread.join(timeout=timeout)
 
     # ------------------------------------------------------------------
@@ -144,51 +173,20 @@ class MicroBatcher:
     # ------------------------------------------------------------------
     def _drain_loop(self) -> None:
         while True:
-            try:
-                first = self._queue.get(timeout=0.1)
-            except queue.Empty:
-                if self._closed:
-                    return
-                continue
-            if first is None:
-                # Shutdown sentinel: flush whatever is still queued.
-                self._flush_remaining()
-                return
-            batch = [first]
-            deadline = first.enqueued_at + self.max_delay
-            while len(batch) < self.max_batch_size:
-                remaining = deadline - time.perf_counter()
-                if remaining <= 0:
-                    break
-                try:
-                    item = self._queue.get(timeout=remaining)
-                except queue.Empty:
-                    break
-                if item is None:
-                    self._dispatch(batch)
-                    self._flush_remaining()
-                    return
-                batch.append(item)
-            self._dispatch(batch)
-
-    def _flush_remaining(self) -> None:
-        batch: List[_Item] = []
-        while True:
-            try:
-                item = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            if item is None:
-                continue
-            batch.append(item)
-            if len(batch) >= self.max_batch_size:
-                self._dispatch(batch)
-                batch = []
-        if batch:
+            self._wake.wait()
+            with self._lock:
+                batch = [
+                    self._pending.popleft()
+                    for _ in range(min(len(self._pending), self.max_batch_size))
+                ]
+                if not self._pending and not self._closed:
+                    self._wake.clear()
+            if not batch:
+                return  # woken with nothing queued: closed and drained
             self._dispatch(batch)
 
     def _dispatch(self, batch: List[_Item]) -> None:
-        self._depth.set(self._queue.qsize())
+        self._depth.set(self.queue_depth)
         now = time.perf_counter()
         for item in batch:
             self._queue_wait.observe(now - item.enqueued_at)

@@ -2,13 +2,15 @@
 
 :class:`InferenceService` wires the serving subsystem together:
 
-* requests enter through the :class:`~repro.serve.batcher.MicroBatcher`
+* requests enter through the :class:`~repro.serve.batcher.MicroBatcher`,
+  which hands whatever is queued to one batch call the moment it is free
   (classification is batch-friendly; the RLGP evaluator vectorises
   across documents);
 * encoded word sequences are memoised in the
   :class:`~repro.serve.cache.LruCache` keyed on token fingerprints;
 * per-category evaluation fans across the
-  :class:`~repro.serve.workers.WorkerPool`;
+  :class:`~repro.serve.workers.WorkerPool`, one job per worker, each
+  scoring a group of categories;
 * everything is observable through one
   :class:`~repro.serve.metrics.MetricsRegistry`.
 
@@ -69,7 +71,7 @@ class InferenceService:
         registry: the models to serve.
         n_workers: worker processes for per-category evaluation
             (0 = evaluate inline).
-        max_batch_size / max_delay: micro-batching knobs.
+        max_batch_size: most documents one micro-batch carries.
         cache_size: encoded-sequence LRU capacity (0 disables).
         metrics: optional shared registry (one is created otherwise).
         data_store: optional :class:`repro.data.DatasetStore`.  When
@@ -91,7 +93,6 @@ class InferenceService:
         registry: ModelRegistry,
         n_workers: int = 1,
         max_batch_size: int = 16,
-        max_delay: float = 0.02,
         cache_size: int = 4096,
         max_queue: int = 0,
         metrics: Optional[MetricsRegistry] = None,
@@ -156,7 +157,6 @@ class InferenceService:
         self.batcher = MicroBatcher(
             self._handle_batch,
             max_batch_size=max_batch_size,
-            max_delay=max_delay,
             max_queue=max_queue,
             metrics=self.metrics,
         )

@@ -3,8 +3,12 @@
 Encoding happens in the front-end (it is cheap, cacheable and shares the
 encoder's BMU cache); the register-machine evaluation of a batch is the
 CPU-bound part, and it parallelises naturally across *categories* — each
-one-vs-rest classifier scores the batch independently.  The pool fans
-``(category, sequences)`` jobs across ``n_workers`` processes.
+one-vs-rest classifier scores the batch independently.
+:meth:`WorkerPool.evaluate_many` splits a batch's categories into one
+group per worker (``min(n_workers, n_categories)`` groups, one in inline
+mode) and submits one job per group: a job carries one handoff for all
+of its categories and comes back as ``{category: values}``, so a batch
+costs as many queue round trips as there are workers, not categories.
 
 Dataset handoff is zero-copy wherever the data already lives on disk:
 sequences the service resolved from the content-addressed dataset store
@@ -12,15 +16,17 @@ travel as ``(address, row)`` references (a :class:`SequenceRef`), and the
 worker memory-maps the very same sealed shards — the kernel shares the
 pages, nothing crosses the pipe but a few integers.  Freshly encoded
 sequences that have no store address yet are packed into one
-``multiprocessing.shared_memory`` segment per job; only when shared
-memory is unavailable does the pool fall back to pickling arrays over
-the queue.  The three paths are counted (``pool_store_sequences_total``,
+``multiprocessing.shared_memory`` segment per job, which workers map
+read-only without registering it with the resource tracker (the parent
+created it; the parent unlinks it); only when shared memory is
+unavailable does the pool fall back to pickling arrays over the queue.
+The three paths are counted (``pool_store_sequences_total``,
 ``pool_shm_sequences_total``, ``pool_pickled_sequences_total``) so tests
 and operators can assert that store-resident traffic pickles nothing.
 
 Supervision: every job is acknowledged by the worker that picks it up
 ("claim"), so when a worker dies mid-job the monitor thread respawns a
-replacement and resubmits the orphaned jobs.  A batch orphaned by a
+replacement and resubmits the orphaned jobs.  A group orphaned by a
 crash is re-queued once by :meth:`WorkerPool.evaluate_many`
 (``serve_batch_requeues_total``) before the failure reaches callers.
 ``n_workers=0`` degrades to inline evaluation in the calling thread (no
@@ -33,6 +39,7 @@ table is pickled to each worker once at startup.
 
 from __future__ import annotations
 
+import mmap
 import multiprocessing
 import os
 import queue as queue_module
@@ -48,12 +55,14 @@ import numpy as np
 
 from repro.classify.binary import RlgpBinaryClassifier
 from repro.gp.engine import shared_metrics
+from repro.runtime.parallel import split_evenly
 from repro.serve.metrics import MetricsRegistry
 
-try:  # pragma: no cover - present on every supported platform
-    from multiprocessing import resource_tracker, shared_memory
+try:  # pragma: no cover - present on every POSIX platform
+    import _posixshmem
+    from multiprocessing import shared_memory
 except ImportError:  # pragma: no cover
-    resource_tracker = None
+    _posixshmem = None
     shared_memory = None
 
 #: Reserved category that makes a worker die abruptly (``os._exit``).
@@ -109,28 +118,30 @@ def _engine_counter_values() -> Dict[str, float]:
     }
 
 
-def _untrack_shm(segment) -> None:
-    """Detach a *attached* (not created) segment from the resource tracker.
+def _attach_readonly(name: str) -> mmap.mmap:
+    """Map the parent's shared-memory segment ``name`` read-only.
 
-    ``SharedMemory.__init__`` registers the segment with the tracker even
-    on attach (observed on this interpreter), so a worker exiting would
-    let the tracker unlink a segment the parent still owns.  The parent
-    created it; the parent unlinks it.
+    ``SharedMemory(name=...)`` would register the segment with the
+    resource tracker, and a worker forked after the parent's tracker
+    started shares that tracker: undoing the registration deletes the
+    *parent's* entry, so the parent's unlink makes the tracker print a
+    ``KeyError`` and a server that dies first leaks the segment.  The
+    parent created it; the parent unlinks it -- so the worker opens and
+    maps it directly, leaving the tracker alone.
     """
-    if resource_tracker is None:
-        return
+    fd = _posixshmem.shm_open("/" + name, os.O_RDONLY, mode=0o600)
     try:
-        resource_tracker.unregister(segment._name, "shared_memory")
-    except (KeyError, ValueError, AttributeError):
-        pass  # tracker never knew it (platform variance); nothing to undo
+        return mmap.mmap(fd, os.fstat(fd).st_size, prot=mmap.PROT_READ)
+    finally:
+        os.close(fd)
 
 
 def _materialize(handoff: dict, store_root: Optional[str]):
-    """Rebuild a job's sequence list from its handoff descriptor.
+    """Rebuild a job's flat sequence list from its handoff descriptor.
 
     Returns ``(sequences, segment)`` -- the caller must release
-    ``segment`` (the attached shared-memory block, or None) after
-    evaluation, once no views into it remain.
+    ``segment`` (the read-only mapping of the shared-memory block, or
+    None) after evaluation, once no views into it remain.
     """
     from repro.data.store import attach_dataset
 
@@ -153,15 +164,29 @@ def _materialize(handoff: dict, store_root: Optional[str]):
     segment = None
     if handoff["shm"] is not None:
         name, metas = handoff["shm"]
-        segment = shared_memory.SharedMemory(name=name)
-        _untrack_shm(segment)
+        segment = _attach_readonly(name)
         for position, offset, shape in metas:
             sequences[position] = np.ndarray(
-                shape, dtype=np.float64, buffer=segment.buf, offset=offset
+                shape, dtype=np.float64, buffer=segment, offset=offset
             )
     for position, array in handoff["raw"]:
         sequences[position] = array
     return sequences, segment
+
+
+def _score(classifiers, layout, sequences) -> Dict[str, np.ndarray]:
+    """Decision values per category of a job; ``layout`` lists
+    ``(category, count)`` runs of the flat ``sequences``."""
+    values: Dict[str, np.ndarray] = {}
+    start = 0
+    for category, count in layout:
+        values[category] = np.asarray(
+            classifiers[category].decision_values(
+                sequences[start:start + count]
+            )
+        )
+        start += count
+    return values
 
 
 def _worker_main(worker_id, classifiers, task_queue, result_queue, store_root):
@@ -178,9 +203,9 @@ def _worker_main(worker_id, classifiers, task_queue, result_queue, store_root):
         message = task_queue.get()
         if message is None:
             return
-        job_id, category, handoff = message
+        job_id, handoff = message
         result_queue.put(("claim", worker_id, job_id))
-        if category == CRASH_CATEGORY:
+        if any(category == CRASH_CATEGORY for category, _ in handoff["layout"]):
             # Simulated hard crash; the sleep lets the claim flush through
             # the queue's feeder thread so supervision sees it.
             time.sleep(0.05)
@@ -189,17 +214,16 @@ def _worker_main(worker_id, classifiers, task_queue, result_queue, store_root):
         try:
             try:
                 sequences, segment = _materialize(handoff, store_root)
-                classifier = classifiers[category]
                 # Engine counters tick in *this* process's shared registry,
                 # invisible to the parent; ship the per-job deltas back so
                 # the service's /metrics reflects worker activity.
                 before = _engine_counter_values()
-                values = classifier.decision_values(sequences)
+                values = _score(classifiers, handoff["layout"], sequences)
                 deltas = {
                     name: after - before.get(name, 0.0)
                     for name, after in _engine_counter_values().items()
                 }
-                result_queue.put(("done", job_id, np.asarray(values), deltas))
+                result_queue.put(("done", job_id, values, deltas))
             finally:
                 if segment is not None:
                     # Views into the segment die with this scope; the
@@ -214,12 +238,12 @@ def _worker_main(worker_id, classifiers, task_queue, result_queue, store_root):
 
 
 class _Job:
-    __slots__ = ("job_id", "category", "handoff", "shm", "future",
+    __slots__ = ("job_id", "categories", "handoff", "shm", "future",
                  "claimed_by", "submitted_at", "retries")
 
-    def __init__(self, job_id, category, handoff, shm=None):
+    def __init__(self, job_id, handoff, shm=None):
         self.job_id = job_id
-        self.category = category
+        self.categories = [category for category, _ in handoff["layout"]]
         self.handoff = handoff
         self.shm = shm
         self.future: Future = Future()
@@ -240,7 +264,8 @@ class _Job:
 
 
 class WorkerPool:
-    """Fans per-category evaluation jobs across worker processes.
+    """Fans per-category evaluation across worker processes, one job
+    (a group of categories) per worker.
 
     Args:
         classifiers: category -> trained binary classifier (as in
@@ -278,7 +303,7 @@ class WorkerPool:
         self.max_retries = max_retries
         self.monitor_interval = monitor_interval
         self.store_root = str(store_root) if store_root is not None else None
-        self.use_shared_memory = use_shared_memory and shared_memory is not None
+        self.use_shared_memory = use_shared_memory and _posixshmem is not None
 
         self._restarts = self.metrics.counter(
             "pool_worker_restarts_total", "workers respawned after a crash"
@@ -337,58 +362,75 @@ class WorkerPool:
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
-    def evaluate(self, category: str, sequences: Sequence) -> Future:
-        """Submit one (category, batch) job; resolves to decision values.
+    def evaluate(self, sequences_by_category: Mapping[str, Sequence]) -> Future:
+        """Submit one job scoring every category of the mapping.
 
-        ``sequences`` items may be plain arrays or :class:`SequenceRef`\\ s;
-        references whose dataset address matches this pool's store root
-        cross to workers as addresses, not bytes.
+        Resolves to ``{category: decision values}``.  The job ships one
+        handoff for all of its sequences; ``sequences`` items may be
+        plain arrays or :class:`SequenceRef`\\ s, and references whose
+        dataset address matches this pool's store root cross to workers
+        as addresses, not bytes.  A job that names
+        :data:`CRASH_CATEGORY` kills the worker that runs it.
         """
         if self._closed:
             raise PoolClosed("worker pool is shut down")
-        if category != CRASH_CATEGORY and category not in self.classifiers:
-            future: Future = Future()
-            future.set_exception(
-                KeyError(f"pool has no classifier for category {category!r}")
-            )
-            return future
+        for category in sequences_by_category:
+            if category != CRASH_CATEGORY and category not in self.classifiers:
+                future: Future = Future()
+                future.set_exception(
+                    KeyError(f"pool has no classifier for category {category!r}")
+                )
+                return future
         self._jobs_total.inc()
         if self.n_workers == 0:
-            return self._evaluate_inline(category, sequences)
-        handoff, shm = self._build_handoff(sequences)
+            return self._evaluate_inline(sequences_by_category)
+        lists = {
+            category: list(sequences)
+            for category, sequences in sequences_by_category.items()
+        }
+        handoff, shm = self._build_handoff(
+            [item for sequences in lists.values() for item in sequences]
+        )
+        handoff["layout"] = [
+            (category, len(sequences)) for category, sequences in lists.items()
+        ]
         with self._lock:
-            job = _Job(self._next_job_id, category, handoff, shm)
+            job = _Job(self._next_job_id, handoff, shm)
             self._next_job_id += 1
             self._pending[job.job_id] = job
-        self._task_queue.put((job.job_id, job.category, job.handoff))
+        self._task_queue.put((job.job_id, job.handoff))
         return job.future
 
     def evaluate_many(
         self, sequences_by_category: Mapping[str, Sequence]
     ) -> Dict[str, np.ndarray]:
-        """Fan one batch across categories and block for all results.
+        """Score one batch for every category and block for the results.
 
-        A category whose job is killed by a worker crash is re-queued
-        once (``serve_batch_requeues_total``) before the crash is
-        allowed to reach the caller: by then the monitor has respawned
-        workers, so a single mid-batch death costs latency, not errors.
+        The categories are split into ``min(n_workers, n_categories)``
+        contiguous groups (one inline) and each group is one
+        :meth:`evaluate` job.  A group whose job is killed by a worker
+        crash is re-queued once (``serve_batch_requeues_total``) before
+        the crash is allowed to reach the caller: by then the monitor
+        has respawned workers, so a single mid-batch death costs
+        latency, not errors.
         """
-        futures = {
-            category: self.evaluate(category, sequences)
-            for category, sequences in sequences_by_category.items()
-        }
+        groups = [
+            {category: sequences_by_category[category] for category in names}
+            for names in split_evenly(
+                list(sequences_by_category), max(1, self.n_workers)
+            )
+        ]
+        futures = [self.evaluate(group) for group in groups]
         results: Dict[str, np.ndarray] = {}
-        for category, future in futures.items():
+        for group, future in zip(groups, futures):
             try:
-                results[category] = future.result()
+                results.update(future.result())
             except WorkerCrash:
                 if (self._closed or self.n_workers == 0
                         or not (self.restart_workers or self.n_alive)):
                     raise  # nobody left to run a retry; fail honestly
                 self._requeues.inc()
-                results[category] = self.evaluate(
-                    category, sequences_by_category[category]
-                ).result()
+                results.update(self.evaluate(group).result())
         return results
 
     @property
@@ -494,24 +536,27 @@ class WorkerPool:
         if raw_items:
             self._pickled_seqs.inc(len(raw_items))
         handoff = {
-            "n": len(sequences) if hasattr(sequences, "__len__")
-            else len(list(sequences)),
+            "n": len(sequences),
             "store": store_items,
             "shm": shm_desc,
             "raw": raw_items,
         }
         return handoff, shm
 
-    def _evaluate_inline(self, category, sequences) -> Future:
+    def _evaluate_inline(self, sequences_by_category) -> Future:
         future: Future = Future()
         start = time.perf_counter()
         try:
-            if category == CRASH_CATEGORY:
+            if CRASH_CATEGORY in sequences_by_category:
                 raise WorkerCrash("crash requested with no worker processes")
-            values = self.classifiers[category].decision_values(
-                [unwrap_sequence(item) for item in sequences]
-            )
-            future.set_result(np.asarray(values))
+            future.set_result({
+                category: np.asarray(
+                    self.classifiers[category].decision_values(
+                        [unwrap_sequence(item) for item in sequences]
+                    )
+                )
+                for category, sequences in sequences_by_category.items()
+            })
         except BaseException as error:  # noqa: BLE001
             future.set_exception(error)
         self._latency.observe(time.perf_counter() - start)
@@ -603,17 +648,17 @@ class WorkerPool:
                 if job.claimed_by == dead_worker_id and not job.future.done()
             ]
         for job in orphans:
-            if job.category == CRASH_CATEGORY or job.retries >= self.max_retries:
+            if CRASH_CATEGORY in job.categories or job.retries >= self.max_retries:
                 with self._lock:
                     self._pending.pop(job.job_id, None)
                 job.release()
                 job.future.set_exception(
                     WorkerCrash(
-                        f"worker died evaluating category {job.category!r} "
+                        f"worker died evaluating categories {job.categories} "
                         f"(after {job.retries} retries)"
                     )
                 )
                 continue
             job.retries += 1
             job.claimed_by = None
-            self._task_queue.put((job.job_id, job.category, job.handoff))
+            self._task_queue.put((job.job_id, job.handoff))

@@ -62,7 +62,6 @@ def running_server(model_dir, data_dir):
         "--model", f"candidate={model_dir}",
         "--data", str(data_dir),
         "--workers", "1",
-        "--max-delay-ms", "5",
     )
     try:
         yield base_url

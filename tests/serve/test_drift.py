@@ -16,7 +16,6 @@ def drift_service(serve_corpus, model_dir):
         registry,
         n_workers=1,
         max_batch_size=8,
-        max_delay=0.005,
         drift_detect=True,
     )
     yield service

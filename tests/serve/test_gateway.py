@@ -30,7 +30,7 @@ def registry(serve_corpus, model_dir):
 @pytest.fixture(scope="module")
 def service(registry):
     service = InferenceService(
-        registry, n_workers=0, max_batch_size=8, max_delay=0.002,
+        registry, n_workers=0, max_batch_size=8,
         metrics=MetricsRegistry(),
     )
     yield service
@@ -165,7 +165,7 @@ def test_oversized_body_is_refused_before_reading(service):
 # ----------------------------------------------------------------------
 def test_rate_limited_requests_get_429_with_retry_after(registry):
     service = InferenceService(
-        registry, n_workers=0, max_batch_size=8, max_delay=0.001,
+        registry, n_workers=0, max_batch_size=8,
         metrics=MetricsRegistry(),
     )
     admission = AdmissionController(
@@ -195,7 +195,7 @@ def test_200_concurrent_connections_all_get_an_answer(registry):
     dropped, and shed requests never reach the batcher."""
     n_clients = 200
     service = InferenceService(
-        registry, n_workers=0, max_batch_size=8, max_delay=0.05,
+        registry, n_workers=0, max_batch_size=8,
         metrics=MetricsRegistry(),
     )
     admission = AdmissionController(
@@ -244,7 +244,7 @@ def test_shedding_keeps_the_batcher_bounded(registry):
     matter how many clients pile on."""
     max_inflight = 2
     service = InferenceService(
-        registry, n_workers=0, max_batch_size=4, max_delay=0.02,
+        registry, n_workers=0, max_batch_size=4,
         metrics=MetricsRegistry(),
     )
     admission = AdmissionController(
@@ -348,7 +348,7 @@ def test_pipelining_beyond_cap_sheds_503_and_closes(service):
 # ----------------------------------------------------------------------
 def test_healthz_degrades_when_admission_saturates(registry):
     service = InferenceService(
-        registry, n_workers=0, max_batch_size=8, max_delay=0.001,
+        registry, n_workers=0, max_batch_size=8,
         metrics=MetricsRegistry(),
     )
     admission = AdmissionController(
@@ -381,7 +381,7 @@ def test_healthz_degrades_when_worker_pool_is_short(registry):
             pass
 
     service = InferenceService(
-        registry, n_workers=0, max_batch_size=8, max_delay=0.001,
+        registry, n_workers=0, max_batch_size=8,
         metrics=MetricsRegistry(),
     )
     try:

@@ -213,7 +213,7 @@ def rollout_service(serve_corpus, model_dir):
     registry.register("retrained", model_dir)
     events = []
     service = InferenceService(
-        registry, n_workers=0, max_batch_size=8, max_delay=0.001,
+        registry, n_workers=0, max_batch_size=8,
         metrics=MetricsRegistry(), events=EventBus([events.append]),
     )
     yield service, events

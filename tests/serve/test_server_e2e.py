@@ -21,7 +21,7 @@ def service(serve_corpus, model_dir):
     registry = ModelRegistry(serve_corpus)
     registry.register("default", model_dir)
     service = InferenceService(
-        registry, n_workers=1, max_batch_size=8, max_delay=0.005
+        registry, n_workers=1, max_batch_size=8
     )
     yield service
     service.close()
@@ -266,7 +266,7 @@ def test_concurrent_pool_for_yields_one_pool(serve_corpus, model_dir):
     registry = ModelRegistry(serve_corpus)
     registry.register("default", model_dir)
     service = InferenceService(
-        registry, n_workers=0, max_batch_size=8, max_delay=0.005
+        registry, n_workers=0, max_batch_size=8
     )
     try:
         entry = service.registry.get()

@@ -22,7 +22,6 @@ def _service(registry, store):
         registry,
         n_workers=0,
         max_batch_size=8,
-        max_delay=0.001,
         metrics=MetricsRegistry(),
         data_store=store,
     )
@@ -167,7 +166,7 @@ def test_transient_warm_failure_keeps_stored_history(
 
 def test_service_without_store_is_unchanged(registry, serve_corpus):
     service = InferenceService(
-        registry, n_workers=0, max_batch_size=8, max_delay=0.001,
+        registry, n_workers=0, max_batch_size=8,
         metrics=MetricsRegistry(),
     )
     try:

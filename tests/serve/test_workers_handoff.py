@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
 from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.data import DatasetStore
 from repro.serve import InferenceService, ModelRegistry, WorkerPool
 from repro.serve.metrics import MetricsRegistry
@@ -33,9 +39,9 @@ def test_fresh_sequences_travel_via_shared_memory(classifiers, sequences):
     pool = WorkerPool(classifiers, n_workers=1, metrics=metrics)
     try:
         category = next(iter(classifiers))
-        values = pool.evaluate(category, sequences).result(timeout=30)
+        values = pool.evaluate({category: sequences}).result(timeout=30)
         np.testing.assert_allclose(
-            values, _expected(classifiers, category, sequences)
+            values[category], _expected(classifiers, category, sequences)
         )
         snapshot = metrics.snapshot()
         assert snapshot["pool_shm_sequences_total"] == len(sequences)
@@ -53,15 +59,46 @@ def test_disabling_shared_memory_falls_back_to_pickling(
     )
     try:
         category = next(iter(classifiers))
-        values = pool.evaluate(category, sequences).result(timeout=30)
+        values = pool.evaluate({category: sequences}).result(timeout=30)
         np.testing.assert_allclose(
-            values, _expected(classifiers, category, sequences)
+            values[category], _expected(classifiers, category, sequences)
         )
         snapshot = metrics.snapshot()
         assert snapshot["pool_pickled_sequences_total"] == len(sequences)
         assert snapshot["pool_shm_sequences_total"] == 0
     finally:
         pool.shutdown()
+
+
+def test_worker_attach_leaves_the_parent_tracker_entry_alone():
+    """A pool forked after the parent's resource tracker started shares
+    that tracker.  Its workers' shared-memory attaches must not touch the
+    parent's registration, or the parent's unlink makes the tracker
+    print a ``KeyError`` (and a server dying first leaks the segment)."""
+    script = textwrap.dedent("""
+        import numpy as np
+        from repro.serve.workers import WorkerPool
+
+        class Sums:
+            def decision_values(self, sequences):
+                return np.array([float(s.sum()) for s in sequences])
+
+        batch = {"a": [np.ones((3, 2)), np.arange(4.0).reshape(2, 2)]}
+        first = WorkerPool({"a": Sums()}, n_workers=1)
+        first.evaluate_many(batch)  # the parent's tracker starts here
+        first.shutdown()
+        second = WorkerPool({"a": Sums()}, n_workers=1)
+        for _ in range(5):
+            assert second.evaluate_many(batch)["a"].tolist() == [6.0, 6.0]
+        second.shutdown()
+    """)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    completed = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        timeout=120, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert "KeyError" not in completed.stderr, completed.stderr
 
 
 def test_store_refs_cross_as_addresses_not_bytes(
@@ -88,9 +125,10 @@ def test_store_refs_cross_as_addresses_not_bytes(
     )
     try:
         category = next(iter(classifiers))
-        values = pool.evaluate(category, refs).result(timeout=30)
+        values = pool.evaluate({category: refs}).result(timeout=30)
         np.testing.assert_allclose(
-            values, _expected(classifiers, category, stored.sequences)
+            values[category],
+            _expected(classifiers, category, stored.sequences),
         )
         snapshot = metrics.snapshot()
         assert snapshot["pool_store_sequences_total"] == len(refs)
@@ -108,9 +146,9 @@ def test_refs_without_a_store_root_still_evaluate(classifiers, sequences):
             for i, s in enumerate(sequences)]
     try:
         category = next(iter(classifiers))
-        values = pool.evaluate(category, refs).result(timeout=30)
+        values = pool.evaluate({category: refs}).result(timeout=30)
         np.testing.assert_allclose(
-            values, _expected(classifiers, category, sequences)
+            values[category], _expected(classifiers, category, sequences)
         )
         assert metrics.snapshot()["pool_store_sequences_total"] == 0
     finally:
@@ -138,9 +176,9 @@ def test_mixed_batch_splits_between_store_and_shared_memory(
     )
     try:
         category = next(iter(classifiers))
-        values = pool.evaluate(category, batch).result(timeout=30)
+        values = pool.evaluate({category: batch}).result(timeout=30)
         np.testing.assert_allclose(
-            values,
+            values[category],
             _expected(
                 classifiers, category,
                 list(stored.sequences) + list(sequences[3:]),
@@ -159,9 +197,9 @@ def test_inline_pool_unwraps_refs(classifiers, sequences):
     refs = [SequenceRef(s) for s in sequences]
     try:
         category = next(iter(classifiers))
-        values = pool.evaluate(category, refs).result(timeout=5)
+        values = pool.evaluate({category: refs}).result(timeout=5)
         np.testing.assert_allclose(
-            values, _expected(classifiers, category, sequences)
+            values[category], _expected(classifiers, category, sequences)
         )
     finally:
         pool.shutdown()
@@ -178,7 +216,7 @@ def test_store_resident_serving_pickles_nothing(
     docs = list(serve_corpus.test_documents)[:5]
 
     first = InferenceService(
-        registry, n_workers=0, max_batch_size=8, max_delay=0.001,
+        registry, n_workers=0, max_batch_size=8,
         metrics=MetricsRegistry(), data_store=store,
     )
     try:
@@ -187,7 +225,7 @@ def test_store_resident_serving_pickles_nothing(
         first.close()  # flushes misses into the store
 
     second = InferenceService(
-        registry, n_workers=1, max_batch_size=8, max_delay=0.001,
+        registry, n_workers=1, max_batch_size=8,
         metrics=MetricsRegistry(), data_store=store,
     )
     try:
@@ -215,13 +253,13 @@ def test_batch_is_requeued_once_after_a_worker_crash(
     real_evaluate = pool.evaluate
     calls = {"n": 0}
 
-    def crash_first(name, batch):
+    def crash_first(group):
         calls["n"] += 1
         if calls["n"] == 1:
             future: Future = Future()
             future.set_exception(WorkerCrash("worker died mid-batch"))
             return future
-        return real_evaluate(name, batch)
+        return real_evaluate(group)
 
     monkeypatch.setattr(pool, "evaluate", crash_first)
     try:
@@ -235,13 +273,19 @@ def test_batch_is_requeued_once_after_a_worker_crash(
         pool.shutdown()
 
 
-def test_unrecoverable_crash_still_fails_after_one_requeue(classifiers):
+def test_unrecoverable_crash_still_fails_after_one_requeue(
+    classifiers, sequences
+):
+    """A job containing the crash category kills its worker every time:
+    the pool never retries it, evaluate_many re-queues the group once."""
     metrics = MetricsRegistry()
     pool = WorkerPool(classifiers, n_workers=1, metrics=metrics)
+    category = next(iter(classifiers))
     try:
         with pytest.raises(WorkerCrash):
-            pool.evaluate_many({CRASH_CATEGORY: []})
+            pool.evaluate_many({category: sequences, CRASH_CATEGORY: []})
         assert metrics.snapshot()["serve_batch_requeues_total"] == 1
+        assert metrics.snapshot()["pool_jobs_total"] == 2
     finally:
         pool.shutdown()
 
