@@ -1,24 +1,29 @@
-"""Micro-benchmarks of the RLGP evaluation engine.
+"""Micro-benchmarks of the RLGP evaluation kernel (:class:`FusedEngine`).
 
-Unlike the table/figure reproductions (which run once), these use
-pytest-benchmark's repeated timing to characterise the evaluator itself:
+The engine is the only production evaluator, so it is timed at the
+shapes the system actually runs, each checked bit for bit against the
+per-document reference (:meth:`Program.run_sequence`):
 
-* vectorised batch evaluation vs the interpreted reference;
-* the effective-instruction (intron-skipping) optimisation;
-* DSS subset evaluation (the per-tournament unit of work);
-* fused population scoring vs the per-program loop -- measured on an
-  *evolved* steady-state population (the real training workload, where
-  fingerprint dedup and the pack-time optimizer earn their keep), with
-  the pre/post-optimizer speedups and the per-generation
-  ``unique_fraction`` trajectory written to ``BENCH_evaluator.json``.
+* ``served_1x1_warm`` -- a ``classify`` worker job: ten served
+  champions, each a classifier with its own warm engine, score one
+  short document (served documents encode to a few words after volume
+  reduction; 1-8 here); seconds per document;
+* ``tournament_1x50_cold`` -- a tournament with one stale member: one
+  program never seen before on a 50-document DSS subset;
+* ``tournament_4x50_cold`` -- a tournament with four stale members;
+* ``finalise_125x200_warm`` -- model selection: an evolved 125-program
+  population over 200 documents, plan already built.
 
-``REPRO_BENCH_ASSERT=0`` disables the fused-speedup threshold (the CI
-smoke job runs on noisy shared runners; the artifact still records the
-measured ratio).
+The medians, the evolved population's per-generation
+``unique_fraction`` trajectory (what fingerprint dedup works with) and
+the ceilings each shape must clear go to ``BENCH_evaluator.json``.
+``REPRO_BENCH_ASSERT=0`` disables the ceilings (the CI smoke job runs on
+noisy shared runners; the artifact still records the measurement).
 """
 
 import json
 import os
+import statistics
 import time
 from pathlib import Path
 from random import Random
@@ -26,69 +31,66 @@ from random import Random
 import numpy as np
 import pytest
 
+from repro.classify.binary import RlgpBinaryClassifier
 from repro.encoding.representation import EncodedDataset, EncodedDocument
 from repro.gp.config import GpConfig
 from repro.gp.engine import FusedEngine
+from repro.gp.fitness import squash_output
 from repro.gp.program import Program
-from repro.gp.recurrent import RecurrentEvaluator
 from repro.gp.trainer import RlgpTrainer
 from repro.serve.metrics import MetricsRegistry
 
 CONFIG = GpConfig().small(tournaments=10)
 
-#: Where the population-scoring speedup measurement is recorded.
+#: Where the per-shape measurement is recorded (committed artifact).
 BENCH_RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_evaluator.json"
 
+#: Seconds each shape's median must stay under.  Each sits ~3x above the
+#: slowest of three runs on a 2-vCPU VM (served 2.3-5.0 ms, tournaments
+#: of one 3.0-3.2 ms and of four 5.3-9.8 ms, model selection 61-66 ms):
+#: a noisy run passes, model selection as a per-program loop (~0.55 s)
+#: does not.
+SHAPE_CEILINGS = {
+    "served_1x1_warm": 0.015,
+    "tournament_1x50_cold": 0.010,
+    "tournament_4x50_cold": 0.030,
+    "finalise_125x200_warm": 0.200,
+}
+
 
 @pytest.fixture(scope="module")
-def evaluator():
-    return RecurrentEvaluator(CONFIG)
-
-
-@pytest.fixture(scope="module")
-def workload(evaluator):
+def workload():
     rng = np.random.default_rng(0)
     sequences = [
         rng.random((int(length), 2)) for length in rng.integers(1, 50, size=200)
     ]
-    program = Program.random(Random(5), CONFIG, page_size=1)
-    program.effective_fields()  # warm the cache outside the timer
-    return program, sequences, evaluator.pack(sequences)
+    engine = FusedEngine(CONFIG, metrics=MetricsRegistry())
+    return sequences, engine.pack(sequences)
 
 
-def test_perf_vectorised_outputs(workload, evaluator, benchmark):
-    program, _, packed = workload
-    result = benchmark(lambda: evaluator.outputs(program, packed))
-    assert len(result) == 200
+@pytest.fixture(scope="module")
+def served_documents():
+    rng = np.random.default_rng(1)
+    return [rng.random((int(length), 2)) for length in rng.integers(1, 9, size=60)]
 
 
-def test_perf_interpreted_outputs(workload, evaluator, benchmark):
-    program, sequences, _ = workload
-    result = benchmark.pedantic(
-        lambda: evaluator.outputs_interpreted(program, sequences),
-        rounds=3,
-        iterations=1,
-    )
-    assert len(result) == 200
-
-
-def test_perf_subset_evaluation(workload, evaluator, benchmark):
-    """One DSS-subset evaluation -- the steady-state tournament's unit cost."""
-    program, sequences, _ = workload
-    subset = evaluator.pack(sequences[:50])
-    result = benchmark(lambda: evaluator.outputs(program, subset))
-    assert len(result) == 50
-
-
-def test_perf_packing(workload, evaluator, benchmark):
-    _, sequences, _ = workload
-    packed = benchmark(lambda: evaluator.pack(sequences))
+def test_perf_packing(workload, benchmark):
+    sequences, _ = workload
+    engine = FusedEngine(CONFIG, metrics=MetricsRegistry())
+    packed = benchmark(lambda: engine.pack(sequences))
     assert len(packed) == 200
 
 
-# ----------------------------------------------------------------------
-# fused population scoring
-# ----------------------------------------------------------------------
+def test_perf_subset_evaluation(workload, benchmark):
+    """One DSS-subset evaluation -- the steady-state tournament's unit cost."""
+    sequences, _ = workload
+    program = Program.random(Random(5), CONFIG, page_size=1)
+    engine = FusedEngine(CONFIG, metrics=MetricsRegistry())
+    subset = engine.pack(sequences[:50])
+    result = benchmark(lambda: engine.outputs([program], subset))
+    assert result.shape == (1, 50)
+
+
 @pytest.fixture(scope="module")
 def population():
     programs = [
@@ -100,25 +102,16 @@ def population():
 
 
 def test_perf_fused_population_outputs(workload, population, benchmark):
-    """The tentpole path: one fused pass over the whole population."""
-    _, _, packed = workload
+    """One fused pass over a whole random population."""
+    _, packed = workload
     engine = FusedEngine(CONFIG, metrics=MetricsRegistry())
     result = benchmark(lambda: engine.outputs(population, packed))
     assert result.shape == (125, 200)
 
 
-def test_perf_per_program_population_outputs(workload, population, evaluator, benchmark):
-    """The baseline the fused engine replaces: a Python loop of
-    per-program vectorised evaluations."""
-    _, _, packed = workload
-    result = benchmark.pedantic(
-        lambda: np.stack([evaluator.outputs(p, packed) for p in population]),
-        rounds=3,
-        iterations=1,
-    )
-    assert result.shape == (125, 200)
-
-
+# ----------------------------------------------------------------------
+# the committed shapes
+# ----------------------------------------------------------------------
 def _bench_dataset(n_per_class=20, seed=0):
     """A small separable dataset for evolving a realistic population."""
     rng = np.random.default_rng(seed)
@@ -169,81 +162,105 @@ def _unique_fraction(programs):
 def evolved_population():
     programs = _evolved_population(600)
     for program in programs:
-        program.effective_fields()
-        program.semantic_fingerprint()
+        program.semantic_fingerprint()  # the trainer's cache lookup does this
     return programs
 
 
-def _measure_population(population, packed, evaluator):
-    """Best-of-N seconds for the per-program loop and both fused engines
-    (pre-optimizer and fully optimized), with bit-identity asserted."""
-    plain = FusedEngine(
-        CONFIG, metrics=MetricsRegistry(), optimize=False, dedup=False
-    )
-    optimized = FusedEngine(CONFIG, metrics=MetricsRegistry())
+def _reference(programs, sequences):
+    """``(n_programs, n_docs)`` outputs of the per-document reference."""
+    out = CONFIG.output_register
+    return np.array([
+        [program.run_sequence(sequence)[out] for sequence in sequences]
+        for program in programs
+    ]).reshape(len(programs), len(sequences))
 
-    def timed(fn, rounds=7):
-        best = float("inf")
-        for _ in range(rounds):
-            start = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - start)
-        return best
 
-    # Warm-up once each (allocator, optimizer cache), then best-of-N --
-    # warm caches mirror training, where a generation's programs overlap
-    # the previous generation's.
-    expected = plain.outputs(population, packed)
-    got = optimized.outputs(population, packed)
-    assert np.array_equal(expected, got), (
-        "optimized fused engine is not bit-identical to the unoptimized one"
+def _median_seconds(calls):
+    """Median seconds of the zero-argument ``calls``, each timed once."""
+    samples = []
+    for call in calls:
+        start = time.perf_counter()
+        call()
+        samples.append(time.perf_counter() - start)
+    return statistics.median(samples)
+
+
+def _served(champions, sequences):
+    classifiers = [
+        RlgpBinaryClassifier(f"c{i}", program, CONFIG, threshold=0.0)
+        for i, program in enumerate(champions)
+    ]
+    # Exactness and the warm-up in one pass.
+    for classifier in classifiers:
+        got = classifier.decision_values(sequences[:1])
+        expected = squash_output(_reference([classifier.program], sequences[:1])[0])
+        assert np.array_equal(got, expected)
+
+    def one_document(sequence):
+        for classifier in classifiers:
+            classifier.decision_values([sequence])
+
+    return _median_seconds(
+        [lambda s=sequence: one_document(s) for sequence in sequences]
     )
-    fused_plain_seconds = timed(lambda: plain.outputs(population, packed))
-    fused_seconds = timed(lambda: optimized.outputs(population, packed))
-    loop_seconds = timed(
-        lambda: np.stack([evaluator.outputs(p, packed) for p in population]),
-        rounds=4,
-    )
-    return {
-        "per_program_seconds": loop_seconds,
-        "fused_pre_optimizer_seconds": fused_plain_seconds,
-        "fused_seconds": fused_seconds,
-        "speedup_pre_optimizer": loop_seconds / fused_plain_seconds,
-        "optimizer_speedup": fused_plain_seconds / fused_seconds,
-        "speedup": loop_seconds / fused_seconds,
+
+
+def _tournaments(programs, sequences, size):
+    subset = sequences[:50]
+    registry = MetricsRegistry()
+    packed = FusedEngine(CONFIG, metrics=registry).pack(subset)
+    batches = [
+        programs[start:start + size]
+        for start in range(0, len(programs) - size + 1, size)
+    ]
+    first = FusedEngine(CONFIG, metrics=registry).outputs(batches[0], packed)
+    assert np.array_equal(first, _reference(batches[0], subset))
+    # A fresh engine per call: nothing about the batch is cached.
+    return _median_seconds([
+        lambda batch=batch: FusedEngine(CONFIG, metrics=registry).outputs(
+            batch, packed
+        )
+        for batch in batches
+    ])
+
+
+def _finalise(population, sequences, packed):
+    engine = FusedEngine(CONFIG, metrics=MetricsRegistry())
+    outputs = engine.outputs(population, packed)  # warm-up builds the plan
+    for row in (0, len(population) // 2, len(population) - 1):
+        expected = _reference([population[row]], sequences)[0]
+        assert np.array_equal(outputs[row], expected)
+    return _median_seconds([lambda: engine.outputs(population, packed)] * 9)
+
+
+def test_fused_engine_shapes(workload, served_documents, evolved_population):
+    """Time the kernel at the four shapes the system runs, check each
+    against the reference, and record the medians plus the evolved
+    population's unique-semantics trajectory in BENCH_evaluator.json;
+    (unless REPRO_BENCH_ASSERT=0) every median must clear its ceiling."""
+    sequences, packed = workload
+    unique = list({p.semantic_fingerprint(): p for p in evolved_population}.values())
+    seconds = {
+        "served_1x1_warm": _served(unique[:10], served_documents),
+        "tournament_1x50_cold": _tournaments(unique, sequences, 1),
+        "tournament_4x50_cold": _tournaments(unique, sequences, 4),
+        "finalise_125x200_warm": _finalise(evolved_population, sequences, packed),
     }
-
-
-def test_fused_population_speedup(
-    workload, population, evolved_population, evaluator
-):
-    """Measure per-program vs fused (pre- and post-optimizer) population
-    scoring at 125 programs x 200 documents on both the canonical random
-    population (the PR 3 baseline workload, headline ``speedup``) and an
-    evolved steady-state population (the actual training workload, where
-    dedup and the optimizer's schedule cache earn their keep); record the
-    ratios plus the per-generation unique-semantics trajectory in
-    BENCH_evaluator.json, and (unless REPRO_BENCH_ASSERT=0) require the
-    >= 8x total speedup the optimized engine was built for."""
-    _, _, packed = workload
-    random_run = _measure_population(population, packed, evaluator)
-    evolved_run = _measure_population(evolved_population, packed, evaluator)
-    speedup = random_run["speedup"]
     unique_fraction = {
         str(budget): round(_unique_fraction(_evolved_population(budget)), 4)
         for budget in (0, 150, 300, 450, 600)
     }
+    print("\nFused engine, median seconds per call")
+    for shape, value in seconds.items():
+        print(f"  {shape:24s} {value * 1e3:8.2f} ms "
+              f"(ceiling {SHAPE_CEILINGS[shape] * 1e3:.0f} ms)")
     BENCH_RESULT_PATH.write_text(
         json.dumps(
             {
-                "n_programs": len(population),
-                "n_docs": len(packed),
-                "population": "random (PR 3 baseline workload)",
-                **random_run,
-                "evolved": {
-                    "population": "steady-state (600 tournaments)",
-                    **evolved_run,
-                },
+                "benchmark": "fused_engine_shapes",
+                "population": "steady-state (600 tournaments)",
+                "seconds": {k: round(v, 6) for k, v in seconds.items()},
+                "ceilings": SHAPE_CEILINGS,
                 "unique_fraction": unique_fraction,
                 "exact": True,
             },
@@ -252,8 +269,5 @@ def test_fused_population_speedup(
         + "\n"
     )
     if os.environ.get("REPRO_BENCH_ASSERT", "1") != "0":
-        assert speedup >= 8.0, (
-            f"optimized fused population scoring only {speedup:.2f}x faster "
-            f"(fused {random_run['fused_seconds'] * 1e3:.1f}ms vs loop "
-            f"{random_run['per_program_seconds'] * 1e3:.1f}ms)"
-        )
+        for shape, value in seconds.items():
+            assert value <= SHAPE_CEILINGS[shape], (shape, value)

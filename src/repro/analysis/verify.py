@@ -11,9 +11,7 @@ do that:
 * :func:`verify_packing` proves a :class:`~repro.gp.engine.PackedPrograms`
   batch is exactly the IR's effective streams: a permutation ordering,
   non-increasing lengths, per-slot fields, no-op padding, and the
-  ``active_counts`` schedule the fused kernel trusts blindly.  With an
-  ``optimizer``, rows are checked against an independent re-optimization
-  of the IR's streams instead.
+  ``active_counts`` schedule the fused kernel trusts blindly.
 * :func:`verify_optimized` proves one program's pack-time optimization
   (:mod:`repro.gp.optimize`) is semantics-preserving: the re-encoded
   stream decodes back to the packed fields, carries no structural
@@ -24,8 +22,8 @@ do that:
 All raise :class:`VerificationError` listing every discrepancy rather
 than stopping at the first, so a failure report localises the bug.
 Setting ``REPRO_VERIFY_PACKING=1`` makes the fused engine call
-:func:`verify_packing` on every batch it packs -- optimized batches
-included (used by the CI smoke train run).
+:func:`verify_packing` on every batch it packs (used by the CI smoke
+train run).
 """
 
 from __future__ import annotations
@@ -255,9 +253,7 @@ def verify_optimized(program, optimized=None):
     return optimized
 
 
-def verify_packing(
-    packed, programs: Sequence, config: GpConfig, optimizer=None
-) -> None:
+def verify_packing(packed, programs: Sequence, config: GpConfig) -> None:
     """Prove a :class:`PackedPrograms` batch matches the IR exactly.
 
     Args:
@@ -266,11 +262,6 @@ def verify_packing(
             and ``active_counts``).
         programs: the population it was built from, in original order.
         config: the engine configuration (defines the padding no-op).
-        optimizer: when the batch was packed through a
-            :class:`~repro.gp.optimize.ProgramOptimizer`, pass it here:
-            expected rows are then an *independent* re-optimization of
-            the IR's effective streams, and every optimization is
-            additionally replay-proven by :func:`verify_optimized`.
 
     Raises:
         VerificationError: listing every discrepancy found.
@@ -290,24 +281,9 @@ def verify_packing(
             "packing fails IR verification:\n  " + "\n  ".join(errors)
         )
 
-    irs = [ProgramIR.from_program(p) for p in programs]
-    if optimizer is None:
-        expected_rows = [ir.effective_fields() for ir in irs]
-    else:
-        from repro.gp.optimize import optimize_fields
-
-        # Re-derive each optimization from the IR's own decode of the
-        # effective stream (not the engine's cached one), then prove it
-        # exact against interpreter semantics.
-        reoptimized = [
-            optimize_fields(ir.effective_fields(), config) for ir in irs
-        ]
-        for program, optimized in zip(programs, reoptimized):
-            try:
-                verify_optimized(program, optimized)
-            except VerificationError as failure:
-                errors.append(str(failure))
-        expected_rows = [optimized.fields for optimized in reoptimized]
+    expected_rows = [
+        ProgramIR.from_program(p).effective_fields() for p in programs
+    ]
     ir_lengths = [len(fields[0]) for fields in expected_rows]
     (noop,) = decode_ir([NOOP_INSTRUCTION], config)
 

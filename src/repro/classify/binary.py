@@ -13,6 +13,7 @@ from repro.gp.config import GpConfig
 from repro.gp.engine import FusedEngine
 from repro.gp.fitness import squash_output
 from repro.gp.program import Program
+from repro.gp.recurrent import final_words
 from repro.gp.trainer import EvolutionResult, RlgpTrainer
 
 
@@ -26,6 +27,15 @@ class RlgpBinaryClassifier:
         config: the GP configuration the program runs under.
         threshold: Eq. 6 threshold on the squashed output.
         train_fitness: SSE of ``program`` on its training set.
+        recurrent: whether ``program`` was evolved recurrently.  A
+            non-recurrent program is read on each document's final word
+            only (:func:`~repro.gp.recurrent.final_words`), exactly as
+            evolution scored it.
+
+    Each classifier owns one :class:`~repro.gp.engine.FusedEngine`, so
+    its program is planned once, not once per call.  The engine is safe
+    to share between threads and is rebuilt, not pickled, when the
+    classifier crosses a process boundary (it holds locks).
     """
 
     category: str
@@ -33,6 +43,19 @@ class RlgpBinaryClassifier:
     config: GpConfig
     threshold: float
     train_fitness: float = float("nan")
+    recurrent: bool = True
+
+    def __post_init__(self) -> None:
+        self._engine = FusedEngine(self.config)
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        del state["_engine"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._engine = FusedEngine(self.config)
 
     @classmethod
     def fit(
@@ -62,6 +85,7 @@ class RlgpBinaryClassifier:
             config=trainer.config,
             threshold=0.0,
             train_fitness=result.train_fitness,
+            recurrent=trainer.recurrent,
         )
         outputs = classifier.decision_values(dataset.sequences)
         classifier.threshold = median_threshold(outputs, dataset.labels)
@@ -81,14 +105,13 @@ class RlgpBinaryClassifier:
     def decision_values(self, sequences: Sequence[np.ndarray]) -> np.ndarray:
         """Squashed (Eq. 4) final outputs for each sequence.
 
-        Runs through :class:`~repro.gp.engine.FusedEngine` so inference
-        traffic ticks the shared engine counters (visible on the serving
-        layer's ``/metrics``); a single classifier is one program, so the
-        engine delegates to the vectorised evaluator -- same numbers.
+        Inference traffic ticks the shared engine counters (visible on
+        the serving layer's ``/metrics``).
         """
-        engine = FusedEngine(self.config)
-        packed = engine.pack(list(sequences))
-        return squash_output(engine.outputs([self.program], packed)[0])
+        if not self.recurrent:
+            sequences = final_words(sequences)
+        packed = self._engine.pack(list(sequences))
+        return squash_output(self._engine.outputs([self.program], packed)[0])
 
     def predict(self, dataset: EncodedDataset) -> np.ndarray:
         """+/-1 prediction per document via the Eq. 6 threshold."""

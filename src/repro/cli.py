@@ -101,20 +101,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        choices=["legacy", "tree"],
                        help="legacy keeps historical per-stage seed "
                             "arithmetic; tree derives seeds from run paths")
-    train.add_argument("--gp-engine", default="fused",
-                       choices=["fused", "vectorised", "interpreted"],
-                       help="RLGP evaluation engine (all three train "
-                            "identical models; fused is fastest)")
-    train.add_argument("--no-gp-optimize", action="store_true",
-                       help="disable the fused engine's pack-time IR "
-                            "optimizer and fingerprint dedup (bit-exact "
-                            "either way; the flag exists for differential "
-                            "comparisons)")
-    train.add_argument("--gp-engine-dtype", default="float64",
-                       choices=["float64", "float32"],
-                       help="fused-engine register-bank dtype; float64 is "
-                            "bit-identical to the reference evaluators, "
-                            "float32 trades exactness for bandwidth")
     train.add_argument("--store", type=Path, default=None, metavar="STOREDIR",
                        help="content-addressed dataset store; encoded "
                             "sequences are loaded from it when present "
@@ -364,9 +350,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
         som_epochs=args.som_epochs,
         gp=GpConfig().small(tournaments=args.tournaments, seed=args.seed),
         n_restarts=args.restarts,
-        gp_engine=args.gp_engine,
-        gp_optimize=not args.no_gp_optimize,
-        gp_engine_dtype=args.gp_engine_dtype,
         seed=args.seed,
     )
     data_store = None

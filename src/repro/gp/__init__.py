@@ -11,9 +11,9 @@ Implements the dynamic page-based LGP of [13] with the recurrent extension
 * Dynamic Subset Selection for fitness evaluation on large training sets;
 * recurrent evaluation: registers persist across a document's word
   sequence and are read from the output register after the last word;
-* a fused population-level evaluation engine (:mod:`repro.gp.engine`)
-  that scores whole tournaments/populations in one numpy pass, with a
-  semantic fitness cache over effective-code fingerprints.
+* one evaluation kernel (:mod:`repro.gp.engine`) that scores any program
+  batch -- a served champion, a tournament, a population -- in one numpy
+  pass, with a semantic fitness cache over effective-code fingerprints.
 """
 
 from repro.gp.config import GpConfig
@@ -30,10 +30,9 @@ from repro.gp.instructions import (
 )
 from repro.gp.program import Program
 from repro.gp.recurrent import RecurrentEvaluator
-from repro.gp.trainer import ENGINES, EvolutionResult, RlgpTrainer
+from repro.gp.trainer import EvolutionResult, RlgpTrainer
 
 __all__ = [
-    "ENGINES",
     "FusedEngine",
     "PackedPrograms",
     "SemanticCache",

@@ -5,13 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Tuple
 
-#: Register-bank dtypes the fused engine supports.  ``float64`` (the
-#: default everywhere) is bit-identical to the reference evaluators;
-#: ``float32`` halves register-bank memory traffic at reduced precision
-#: and is strictly opt-in.
-ENGINE_DTYPES: Tuple[str, ...] = ("float64", "float32")
-
-
 @dataclass(frozen=True)
 class GpConfig:
     """Parameters of the (R)LGP engine, defaulting to the paper's Table 2.

@@ -1,27 +1,24 @@
-"""Fused population-level RLGP evaluation (the trainer's hot path).
+"""Fused RLGP evaluation: the one production evaluator.
 
-The vectorised :class:`~repro.gp.recurrent.RecurrentEvaluator` removed the
-per-*document* Python loop, but the trainer still interpreted one program
-at a time -- ``population x effective_length`` Python-level dispatches per
-time step.  This module removes the per-*program* loop as well:
+Every program batch -- one served champion, a tournament's stale
+members, a whole population at model selection -- is scored by the same
+kernel:
 
 * :class:`PackedPrograms` packs every program's *effective* instruction
   stream (structural introns dropped, after Brameier & Banzhaf) into
   per-slot field arrays ``mode/opcode/dst/src`` of shape
   ``(n_programs, max_effective_len)``, padding short programs with a
   bit-transparent no-op (``R0 = R0 * 1``);
-* :class:`FusedEngine` holds one 3-D register bank
-  ``(n_programs, n_registers, n_docs)`` and sweeps the time axis once,
-  applying instruction slot *i* of **every** program in a handful of
-  masked/gathered ufuncs instead of ``n_programs`` Python iterations.
-  Per element the operation sequence is identical to the vectorised
-  evaluator's, so outputs are bit-identical (differential-tested);
+* :class:`FusedEngine` list-schedules the streams into dependency
+  levels, holds one register bank for the whole batch and sweeps the
+  time axis once, applying one level of **every** program in a handful
+  of gathered ufuncs.  Semantically identical programs in a batch are
+  swept once.  Per element the operation sequence is exactly
+  :meth:`Program.step`'s, so outputs are bit-identical to the reference
+  :class:`~repro.gp.recurrent.RecurrentEvaluator` (differential-tested);
 * :class:`SemanticCache` memoises ``(effective-code fingerprint,
   DSS-subset version) -> (fitness, squashed outputs)`` so offspring whose
-  crossover/mutation landed entirely in introns are never re-evaluated;
-* an opt-in process-parallel path shards the population over
-  :func:`repro.runtime.parallel.parallel_map` forked workers for
-  full-population scoring (model selection, island phases).
+  crossover/mutation landed entirely in introns are never re-evaluated.
 
 Engine activity is observable: counters for programs/documents/
 instructions evaluated and semantic-cache hits land on a shared
@@ -34,12 +31,13 @@ registry through here.
 from __future__ import annotations
 
 import os
+import threading
 from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.gp.config import ENGINE_DTYPES, GpConfig
+from repro.gp.config import GpConfig
 from repro.gp.instructions import (
     MODE_CONSTANT,
     MODE_EXTERNAL,
@@ -50,7 +48,7 @@ from repro.gp.instructions import (
     encode_instruction,
 )
 from repro.gp.program import DIV_EPSILON, Program, REGISTER_LIMIT
-from repro.gp.recurrent import PackedSequences, RecurrentEvaluator
+from repro.gp.recurrent import PackedSequences
 
 try:  # single-pass clamp without np.clip's per-call wrapper overhead
     from numpy._core.umath import clip as _clip_ufunc
@@ -115,10 +113,6 @@ def _register_engine_metrics(registry) -> Dict[str, object]:
         "cache_hit_rate": registry.gauge(
             "engine_cache_hit_rate", "hits / lookups over the cache lifetime"
         ),
-        "folded": registry.counter(
-            "engine_folded_instructions_total",
-            "instructions folded or eliminated by the pack-time optimizer",
-        ),
         "dedup_hits": registry.counter(
             "engine_dedup_hits_total",
             "batch rows served by population-level fingerprint dedup",
@@ -150,8 +144,7 @@ class PackedPrograms:
             code reaches slot ``i`` (a prefix of the sorted rows).
         levels: ``(n_programs, max_len)`` dependency level of every
             instruction (:func:`repro.gp.optimize.schedule_levels`),
-            row-aligned with ``modes``; cached per unique program by
-            the optimizer, so warm packs skip the analysis.
+            row-aligned with ``modes``.
     """
 
     __slots__ = ("modes", "opcodes", "dsts", "srcs", "lengths", "order",
@@ -170,32 +163,13 @@ class PackedPrograms:
 
     @classmethod
     def from_programs(
-        cls,
-        programs: Sequence[Program],
-        config: GpConfig,
-        optimizer=None,
+        cls, programs: Sequence[Program], config: GpConfig
     ) -> "PackedPrograms":
-        """Pack the (cached) effective fields of ``programs``.
-
-        Args:
-            optimizer: optional
-                :class:`~repro.gp.optimize.ProgramOptimizer`; when given,
-                each program's *optimized* stream (constants folded,
-                semantic introns eliminated) is packed instead of its
-                structural effective stream.  Optimized streams are
-                bit-exact, so the sweep's outputs are unchanged.
-        """
+        """Pack the (cached) effective fields of ``programs``."""
         from repro.gp.optimize import schedule_levels
 
-        if optimizer is not None:
-            optimized = [optimizer.optimize(p) for p in programs]
-            fields = [o.fields for o in optimized]
-            level_rows = [o.levels(config.n_registers) for o in optimized]
-        else:
-            fields = [program.effective_fields() for program in programs]
-            level_rows = [
-                schedule_levels(f, config.n_registers) for f in fields
-            ]
+        fields = [program.effective_fields() for program in programs]
+        level_rows = [schedule_levels(f, config.n_registers) for f in fields]
         raw_lengths = np.array([len(f[0]) for f in fields], dtype=np.int64)
         order = np.argsort(-raw_lengths, kind="stable")
         lengths = raw_lengths[order]
@@ -286,6 +260,10 @@ class _SweepPlan:
         self.n_rows = n_rows
 
 
+#: Entries the trainer's semantic cache retains.
+SEMANTIC_CACHE_CAPACITY = 8192
+
+
 class SemanticCache:
     """LRU cache of subset fitness keyed by program *semantics*.
 
@@ -302,7 +280,9 @@ class SemanticCache:
             registry by default.
     """
 
-    def __init__(self, capacity: int = 8192, metrics=None) -> None:
+    def __init__(
+        self, capacity: int = SEMANTIC_CACHE_CAPACITY, metrics=None
+    ) -> None:
         if capacity < 0:
             raise ValueError(f"capacity must be >= 0, got {capacity}")
         self.capacity = capacity
@@ -363,66 +343,27 @@ _PLAN_CACHE_SIZE = 8
 
 
 class FusedEngine:
-    """Scores whole populations in one numpy pass.
+    """Scores program batches of any size in one numpy pass.
+
+    One served champion, a tournament's stale members and a whole
+    population all take the same path: dedup by semantic fingerprint,
+    pack, level-schedule, sweep.  The document axis is swept in blocks
+    once the register bank would exceed ~4 MiB; documents are
+    independent, so blocking never changes outputs.
+
+    Safe to share between threads: sweeps allocate their own banks, and
+    the plan memo is guarded by a lock.
 
     Args:
         config: the GP configuration shared by every program evaluated.
         metrics: registry for activity counters (shared engine registry
             by default).
-        optimize: run the pack-time IR optimizer
-            (:class:`~repro.gp.optimize.ProgramOptimizer`) so the sweep
-            executes folded, semantic-intron-free streams.  Bit-exact;
-            on by default.
-        dedup: population-level fingerprint dedup -- semantically
-            identical programs in a batch are swept once and their rows
-            scattered back.  Bit-exact (fingerprint-equal programs have
-            identical outputs by construction); on by default.
-        dtype: register-bank dtype, one of
-            :data:`~repro.gp.config.ENGINE_DTYPES`.  The default
-            ``"float64"`` is bit-identical to the per-program
-            evaluators; ``"float32"`` halves bank traffic at reduced
-            precision (opt-in, not bit-exact).
-        block_docs: sweep the document axis in blocks of this many
-            columns (0 = automatic: blocks only when the register bank
-            would exceed ~4 MiB, so small batches keep the single-sweep
-            fast path).  Documents are independent, so blocking never
-            changes outputs.
-
-    A single-program call delegates to the vectorised
-    :class:`RecurrentEvaluator` (same numbers, less slot machinery); the
-    fused kernel takes over from two programs up.
     """
 
-    def __init__(
-        self,
-        config: GpConfig,
-        metrics=None,
-        optimize: bool = True,
-        dedup: bool = True,
-        dtype: str = "float64",
-        block_docs: int = 0,
-    ) -> None:
-        if dtype not in ENGINE_DTYPES:
-            raise ValueError(
-                f"unknown engine dtype {dtype!r}; choose from {ENGINE_DTYPES}"
-            )
-        if block_docs < 0:
-            raise ValueError(f"block_docs must be >= 0, got {block_docs}")
+    def __init__(self, config: GpConfig, metrics=None) -> None:
         self.config = config
-        self.evaluator = RecurrentEvaluator(config)
         registry = metrics if metrics is not None else shared_metrics()
         self._metrics = _register_engine_metrics(registry)
-        self._dedup = dedup
-        self._dtype = np.dtype(dtype)
-        self._block_docs = block_docs
-        if optimize:
-            from repro.gp.optimize import ProgramOptimizer
-
-            self.optimizer: Optional[ProgramOptimizer] = ProgramOptimizer(
-                config, metrics=registry
-            )
-        else:
-            self.optimizer = None
         # With REPRO_VERIFY_PACKING=1 every packed batch is checked
         # against the IR dataflow oracle (repro.analysis.verify) before
         # it runs -- used by the CI smoke train; far too slow for real
@@ -430,6 +371,7 @@ class FusedEngine:
         self._verify_packing = os.environ.get(
             "REPRO_VERIFY_PACKING", ""
         ) not in ("", "0")
+        self._plan_lock = threading.Lock()
         self._plan_cache: "OrderedDict[Tuple[bytes, ...], Tuple[PackedPrograms, Optional[_SweepPlan]]]" = (
             OrderedDict()
         )
@@ -439,36 +381,20 @@ class FusedEngine:
     # ------------------------------------------------------------------
     def pack(self, sequences: Sequence[np.ndarray]) -> PackedSequences:
         """Pad and sort document sequences (see :class:`PackedSequences`)."""
-        return self.evaluator.pack(sequences)
+        return PackedSequences.from_sequences(sequences, self.config.n_inputs)
 
     def outputs(
-        self,
-        programs: Sequence[Program],
-        packed: PackedSequences,
-        n_jobs: int = 0,
+        self, programs: Sequence[Program], packed: PackedSequences
     ) -> np.ndarray:
         """``(n_programs, n_docs)`` raw output-register values.
 
         Rows align with ``programs``; columns are in the documents'
-        *original* (pre-packing) order, exactly like
-        :meth:`RecurrentEvaluator.outputs`.
-
-        Args:
-            n_jobs: shard the population over this many forked workers
-                (``repro.runtime.parallel``).  Worth it only for large
-                batches (full-population model selection, island
-                phases); tournament-sized batches should stay inline.
+        *original* (pre-packing) order.
         """
         programs = list(programs)
-        n_docs = len(packed)
-        if self._dedup and len(programs) > 1:
-            unique, rows = self._dedup_rows(programs)
-        else:
-            unique, rows = programs, None
+        unique, rows = self._dedup_rows(programs)
         self._count(programs, unique, packed)
-        if not programs:
-            return np.zeros((0, n_docs))
-        raws = self._outputs_unique(unique, packed, n_jobs)
+        raws = self._outputs_fused(unique, packed)
         if rows is None:
             return raws
         # Scatter the unique sweeps back onto the caller's rows.
@@ -503,23 +429,6 @@ class FusedEngine:
         self._metrics["dedup_hits"].inc(hits)
         return unique, rows
 
-    def _outputs_unique(
-        self, programs: List[Program], packed: PackedSequences, n_jobs: int
-    ) -> np.ndarray:
-        if len(programs) == 1:
-            return self.evaluator.outputs(programs[0], packed).reshape(1, -1)
-        if n_jobs > 1 and len(programs) > n_jobs:
-            from repro.runtime.parallel import parallel_map, split_evenly
-
-            shards = split_evenly(programs, n_jobs)
-            parts = parallel_map(
-                lambda shard: self._outputs_fused(shard, packed),
-                shards,
-                n_jobs=n_jobs,
-            )
-            return np.vstack(parts)
-        return self._outputs_fused(programs, packed)
-
     # ------------------------------------------------------------------
     # fused kernel
     # ------------------------------------------------------------------
@@ -540,56 +449,51 @@ class FusedEngine:
         """Memoized ``(packing, sweep plan)`` for one program batch.
 
         The *ordered* semantic fingerprints fully determine the packed
-        streams (the optimizer is a pure function of the effective
-        stream, and the pack's length-sort is stable) and therefore the
+        streams (the pack's length-sort is stable) and therefore the
         plan -- so rescoring an unchanged batch skips re-packing and
-        re-scheduling entirely.  Steady-state training hits this
-        constantly: model-selection passes and post-dedup tournament
-        batches repeat across calls.  ``REPRO_VERIFY_PACKING`` verifies
-        on build; a cache hit returns an already-verified packing.
+        re-scheduling entirely: a served champion is planned once, and
+        model-selection passes and post-dedup tournament batches repeat
+        across calls.  ``REPRO_VERIFY_PACKING`` verifies on build; a
+        cache hit returns an already-verified packing.
         """
         key = tuple(p.semantic_fingerprint() for p in programs)
-        hit = self._plan_cache.get(key)
-        if hit is not None:
-            self._plan_cache.move_to_end(key)
-            return hit
-        population = PackedPrograms.from_programs(
-            programs, self.config, optimizer=self.optimizer
-        )
+        with self._plan_lock:
+            hit = self._plan_cache.get(key)
+            if hit is not None:
+                self._plan_cache.move_to_end(key)
+                return hit
+        population = PackedPrograms.from_programs(programs, self.config)
         if self._verify_packing:
             from repro.analysis.verify import verify_packing
 
-            verify_packing(
-                population, programs, self.config, optimizer=self.optimizer
-            )
+            verify_packing(population, programs, self.config)
         plan = self._schedule(population) if population.max_len else None
-        self._plan_cache[key] = (population, plan)
-        if len(self._plan_cache) > _PLAN_CACHE_SIZE:
-            self._plan_cache.popitem(last=False)
+        with self._plan_lock:
+            self._plan_cache[key] = (population, plan)
+            if len(self._plan_cache) > _PLAN_CACHE_SIZE:
+                self._plan_cache.popitem(last=False)
         return population, plan
 
-    def _block_size(self, n_rows: int, n_docs: int) -> int:
+    @staticmethod
+    def _block_size(n_rows: int) -> int:
         """Documents per bank sweep (cache-aware blocking).
 
-        An explicit ``block_docs`` wins; otherwise blocks are sized so
-        one extended bank (``plan.n_rows x block``) stays around
-        :data:`_BLOCK_BYTES` -- small batches (the training workload)
-        fit in one block and skip the blocking loop entirely.
+        Blocks are sized so one extended float64 bank
+        (``plan.n_rows x block``) stays around :data:`_BLOCK_BYTES` --
+        small batches (the training workload) fit in one block and skip
+        the blocking loop entirely.
         """
-        if self._block_docs:
-            return min(self._block_docs, n_docs)
-        per_doc = n_rows * self._dtype.itemsize
+        per_doc = n_rows * np.dtype(np.float64).itemsize
         return max(64, _BLOCK_BYTES // max(per_doc, 1))
 
     def _schedule(self, population: PackedPrograms) -> "_SweepPlan":
         """Level-scheduled execution plan for one register-bank sweep.
 
         Each program's packed stream is list-scheduled into dependency
-        levels (:func:`repro.gp.optimize.schedule_levels`, cached per
-        unique program by the optimizer); level ``s`` of every program
-        executes in one slot, so the sweep runs ``max(depth)`` slots
-        per word instead of ``max(length)`` -- identical instructions
-        and arithmetic, ~3x fewer dispatches.
+        levels (:func:`repro.gp.optimize.schedule_levels`); level ``s``
+        of every program executes in one slot, so the sweep runs
+        ``max(depth)`` slots per word instead of ``max(length)`` --
+        identical instructions and arithmetic, ~3x fewer dispatches.
 
         Operands are rebased onto an *extended*, SSA-style bank layout
         ``[zero row | instruction defs | input rows | constant rows]``.
@@ -686,7 +590,7 @@ class FusedEngine:
             dtype=np.int64,
         )
         return _SweepPlan(
-            slots, const_vals.astype(self._dtype), out_rows,
+            slots, const_vals.astype(np.float64), out_rows,
             def_base + n_entries + self.config.n_inputs + len(const_vals),
         )
 
@@ -699,10 +603,10 @@ class FusedEngine:
         """Time-axis sweep; finals in the packed (sorted x sorted) order."""
         n_programs = population.n_programs
         n_docs = len(packed)
-        finals = np.zeros((n_programs, n_docs), dtype=self._dtype)
+        finals = np.zeros((n_programs, n_docs))
         if n_docs == 0 or population.max_len == 0 or plan is None:
             return finals
-        block = self._block_size(plan.n_rows, n_docs)
+        block = self._block_size(plan.n_rows)
         for start in range(0, n_docs, block):
             self._metrics["block_sweeps"].inc()
             self._sweep_block(
@@ -730,7 +634,7 @@ class FusedEngine:
         width = stop - start
         n_const = len(plan.const_vals)
         ext_lo = plan.n_rows - n_const - n_inputs
-        bank = np.zeros((plan.n_rows, width), dtype=self._dtype)
+        bank = np.zeros((plan.n_rows, width))
         # Constant rows are valid at any active width: prefill once.
         if n_const:
             bank[ext_lo + n_inputs :] = plan.const_vals[:, None]
@@ -770,7 +674,7 @@ class FusedEngine:
                         # Protected division: a ~0 denominator becomes 1,
                         # and x / 1.0 == x bit-exactly, so the protected
                         # lanes keep the numerator -- identical semantics
-                        # to the vectorised evaluator and the interpreter.
+                        # to Program.step.
                         src[np.abs(src) < DIV_EPSILON] = 1.0
                         np.divide(cur, src, out=defs[group])
                 # Single-pass clamp in place on the def rows (the raw
@@ -803,20 +707,10 @@ class FusedEngine:
         packed: PackedSequences,
     ) -> None:
         """``programs``/``documents`` count requested (logical) work;
-        ``instructions`` counts what actually executes after dedup and
-        optimization."""
+        ``instructions`` counts what actually executes after dedup."""
         n_docs = len(packed)
         total_words = int(packed.active_counts.sum()) if n_docs else 0
-        if len(unique) == 1:
-            # The single-program path delegates to the vectorised
-            # evaluator, which runs the structural effective stream.
-            executed = len(unique[0].effective_fields()[0])
-        elif self.optimizer is not None:
-            executed = sum(
-                self.optimizer.optimize(p).stats.n_optimized for p in unique
-            )
-        else:
-            executed = sum(len(p.effective_fields()[0]) for p in unique)
+        executed = sum(len(p.effective_fields()[0]) for p in unique)
         self._metrics["batches"].inc()
         self._metrics["programs"].inc(len(programs))
         self._metrics["documents"].inc(len(programs) * n_docs)

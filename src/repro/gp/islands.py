@@ -32,10 +32,7 @@ class IslandEvolution:
         migrants: individuals each island sends to its ring neighbour
             after every phase.
         trainer_kwargs: forwarded to each phase's :class:`RlgpTrainer`
-            (``use_dss``, ``fitness``, ``engine``, ``engine_jobs``, ...).
-            Every phase therefore scores through the fused engine by
-            default, including the full-population model selection at
-            each phase boundary.
+            (``use_dss``, ``fitness``, ``recurrent``, ...).
     """
 
     def __init__(

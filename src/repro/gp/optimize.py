@@ -1,9 +1,11 @@
-"""Pack-time IR-driven program optimization (fold / eliminate / dedup).
+"""IR-driven program optimization (fold / eliminate) and level scheduling.
 
-The fused engine (:mod:`repro.gp.engine`) already skips *structural*
-introns -- instructions whose write can never reach the output register.
-This module removes the next layer of waste the IR's dataflow analyses
-can prove away while keeping evaluation **exact**:
+The evaluation engine (:mod:`repro.gp.engine`) executes each program's
+*structural* effective stream -- instructions whose write can reach the
+output register -- list-scheduled into dependency levels by
+:func:`schedule_levels`.  This module also removes the next layer of
+waste the IR's dataflow analyses can prove away while keeping evaluation
+**exact**; ``analyze --model`` reports it per champion:
 
 * **Constant operand folding.**  A sparse constant analysis over the
   recurrent reaching-definition fixpoint finds registers that provably
@@ -31,8 +33,7 @@ can prove away while keeping evaluation **exact**:
 
 Every transform preserves the output-register value after **every**
 word of **every** document bit-for-bit (the recurrent liveness back
-edge keeps the output register observable at each pass boundary), so
-fitness, tournament rankings, and evolved champions are unchanged --
+edge keeps the output register observable at each pass boundary) --
 :func:`repro.analysis.verify.verify_optimized` replays optimized
 streams against :meth:`Program.step` semantics to prove it.
 
@@ -110,8 +111,8 @@ class OptimizationStats:
 
     Attributes:
         n_instructions: raw code length.
-        n_effective: structural effective length (the engine's input
-            before this module existed).
+        n_effective: structural effective length (what the engine
+            executes).
         n_optimized: final optimized stream length.
         folded_operands: internal-mode operands rewritten to immediates.
         eliminated: instructions removed beyond the structural introns
@@ -131,15 +132,14 @@ class OptimizedProgram:
     """One program's optimized effective stream.
 
     Attributes:
-        fields: ``(modes, opcodes, dsts, srcs)`` int64 arrays -- what
-            :class:`~repro.gp.engine.PackedPrograms` packs.
+        fields: ``(modes, opcodes, dsts, srcs)`` int64 arrays.
         code: the stream re-encoded as 16-bit instruction words (empty
             tuple when everything folded away); a *valid* program for
             every IR analysis and for the replay oracle.
         stats: see :class:`OptimizationStats`.
     """
 
-    __slots__ = ("fields", "code", "stats", "_fingerprint", "_levels")
+    __slots__ = ("fields", "code", "stats", "_fingerprint")
 
     def __init__(
         self,
@@ -151,7 +151,6 @@ class OptimizedProgram:
         self.code = code
         self.stats = stats
         self._fingerprint: Optional[bytes] = None
-        self._levels: Optional[List[int]] = None
 
     def __len__(self) -> int:
         return len(self.code)
@@ -161,12 +160,6 @@ class OptimizedProgram:
         if self._fingerprint is None:
             self._fingerprint = fingerprint_fields(self.fields)
         return self._fingerprint
-
-    def levels(self, n_registers: int) -> List[int]:
-        """Cached :func:`schedule_levels` of the optimized stream."""
-        if self._levels is None:
-            self._levels = schedule_levels(self.fields, n_registers)
-        return self._levels
 
 
 def _constant_entry(
@@ -367,7 +360,7 @@ def optimize_program(program) -> OptimizedProgram:
 
 
 class ProgramOptimizer:
-    """Memoising optimizer front end for the fused engine.
+    """Memoising front end over :func:`optimize_program`.
 
     Keyed on :meth:`Program.semantic_fingerprint` -- two programs whose
     raw code differs only in structural introns share an effective

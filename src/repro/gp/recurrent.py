@@ -6,28 +6,22 @@ reset between words, and the prediction is the output register after the
 last word.  A document with no encoded words yields the initial register
 value (0).
 
-Two evaluators are provided:
-
-* :meth:`RecurrentEvaluator.outputs_interpreted` -- the straightforward
-  per-document interpreter (reference semantics);
-* :meth:`RecurrentEvaluator.outputs` -- a vectorised evaluator that runs
-  the instruction stream over all documents simultaneously.  Documents are
-  sorted by length so that, as short documents finish, the active batch
-  shrinks to a prefix; each document's output register is snapshotted at
-  its own final word.  The two evaluators agree to floating-point accuracy
-  (differential-tested in the suite).
+:class:`PackedSequences` is the padded, length-sorted document batch every
+evaluator consumes.  :class:`RecurrentEvaluator` is the reference: it runs
+:meth:`~repro.gp.program.Program.run_sequence` one document at a time.
+The production evaluator is :class:`~repro.gp.engine.FusedEngine`, which
+is bit-identical to it (differential-tested in the suite).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
 from repro.gp.config import GpConfig
-from repro.gp.instructions import MODE_CONSTANT, MODE_EXTERNAL, MODE_INTERNAL
-from repro.gp.program import DIV_EPSILON, Program, REGISTER_LIMIT
+from repro.gp.program import Program
 
 
 @dataclass(frozen=True)
@@ -109,7 +103,12 @@ class PackedSequences:
 
 
 class RecurrentEvaluator:
-    """Evaluates programs recurrently over packed document batches."""
+    """The reference evaluator: :meth:`Program.run_sequence` per document.
+
+    Slow and obviously correct.  The fused engine
+    (:class:`~repro.gp.engine.FusedEngine`) is the only production
+    evaluator; tests score programs through this class to check it.
+    """
 
     def __init__(self, config: GpConfig) -> None:
         self.config = config
@@ -118,92 +117,22 @@ class RecurrentEvaluator:
         """Pad and sort sequences for batch evaluation."""
         return PackedSequences.from_sequences(sequences, self.config.n_inputs)
 
-    # ------------------------------------------------------------------
-    # vectorised evaluation
-    # ------------------------------------------------------------------
     def outputs(self, program: Program, packed: PackedSequences) -> np.ndarray:
         """Raw output-register value per document, in *original* order."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            return self._outputs_unchecked(program, packed)
-
-    def _outputs_unchecked(
-        self, program: Program, packed: PackedSequences
-    ) -> np.ndarray:
-        n_docs = len(packed)
-        if n_docs == 0:
-            return np.zeros(0)
-        # Executing only the effective instructions is output-identical
-        # (see Program.effective_fields) and much faster.
-        modes, opcodes, dsts, srcs = program.effective_fields()
-        if len(modes) == 0:
-            # Nothing ever writes a register chain reaching the output.
-            return np.zeros(n_docs)
-        instructions = list(zip(modes, opcodes, dsts, srcs))
-        registers = np.zeros((self.config.n_registers, n_docs))
-        finals_sorted = np.zeros(n_docs)
-        out_reg = self.config.output_register
-        max_len = packed.inputs.shape[1]
-        buffer = np.empty(n_docs)
-
-        for t in range(max_len):
-            n_active = int(packed.active_counts[t])
-            if n_active == 0:
-                break
-            active = registers[:, :n_active]
-            inputs_t = packed.inputs[:n_active, t, :].T  # (n_inputs, n_active)
-            temp = buffer[:n_active]
-            for mode, opcode, dst, src in instructions:
-                current = active[dst]
-                if mode == MODE_INTERNAL:
-                    source = active[src]
-                elif mode == MODE_EXTERNAL:
-                    source = inputs_t[src]
-                else:
-                    source = float(src)
-                if opcode == 0:
-                    np.add(current, source, out=temp)
-                elif opcode == 1:
-                    np.subtract(current, source, out=temp)
-                elif opcode == 2:
-                    np.multiply(current, source, out=temp)
-                elif mode == MODE_CONSTANT:
-                    # Constant denominator: protection decided once.
-                    if abs(source) < DIV_EPSILON:
-                        temp[:] = current
-                    else:
-                        np.divide(current, source, out=temp)
-                else:
-                    near_zero = np.abs(source) < DIV_EPSILON
-                    np.divide(current, np.where(near_zero, 1.0, source), out=temp)
-                    temp[near_zero] = current[near_zero]
-                # Clamp via raw ufuncs: np.clip's wrapper dominates the
-                # whole evolution's runtime at this call frequency.
-                np.maximum(temp, -REGISTER_LIMIT, out=temp)
-                np.minimum(temp, REGISTER_LIMIT, out=current)
-            # Documents whose last word is step t occupy a suffix of the
-            # active prefix (lengths are sorted descending).
-            still_active = int(packed.active_counts[t + 1]) if t + 1 < max_len else 0
-            if still_active < n_active:
-                finals_sorted[still_active:n_active] = registers[
-                    out_reg, still_active:n_active
-                ]
-
-        outputs = np.zeros(n_docs)
-        outputs[packed.order] = finals_sorted
-        return outputs
-
-    # ------------------------------------------------------------------
-    # interpreted reference
-    # ------------------------------------------------------------------
-    def outputs_interpreted(
-        self, program: Program, sequences: Sequence[np.ndarray]
-    ) -> np.ndarray:
-        """Reference implementation: one document at a time."""
         out_reg = self.config.output_register
         return np.array(
-            [program.run_sequence(seq)[out_reg] for seq in sequences]
+            [program.run_sequence(seq)[out_reg] for seq in packed.unpack()],
+            dtype=float,
         )
 
-    def trace(self, program: Program, sequence: np.ndarray) -> np.ndarray:
-        """Per-word output-register trace of one document (word tracking)."""
-        return program.trace_sequence(sequence)
+
+def final_words(sequences: Sequence[np.ndarray]) -> List[np.ndarray]:
+    """Each document cut to its last word.
+
+    A non-recurrent program (the ablation whose registers reset before
+    every word) reads nothing but the final word, so evaluating these
+    one-word documents gives exactly its outputs.  Empty documents stay
+    empty and output 0.  The trainer and the classifier both evaluate
+    a non-recurrent program through this one helper.
+    """
+    return [np.asarray(sequence)[-1:] for sequence in sequences]

@@ -4,6 +4,8 @@ One :class:`RlgpTrainer` evolves a binary classification rule for one
 category's :class:`~repro.encoding.representation.EncodedDataset`.  The
 paper evolves 20 independent initialisations per category and keeps the
 best rule; :meth:`RlgpTrainer.train_with_restarts` implements that.
+Every tournament and the final model selection score through one
+:class:`~repro.gp.engine.FusedEngine`.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.encoding.representation import EncodedDataset
-from repro.gp.config import ENGINE_DTYPES, GpConfig
+from repro.gp.config import GpConfig
 from repro.gp.dss import DynamicSubsetSelector
 from repro.gp.dynamic_pages import DynamicPageController
 from repro.gp.fitness import (
@@ -29,7 +31,7 @@ from repro.gp.fitness import (
 from repro.gp.engine import FusedEngine, SemanticCache
 from repro.gp.operators import breed
 from repro.gp.program import Program
-from repro.gp.recurrent import PackedSequences, RecurrentEvaluator
+from repro.gp.recurrent import final_words
 
 #: Per-tournament fitness functions selectable on the trainer.
 FITNESS_FUNCTIONS = {
@@ -37,11 +39,6 @@ FITNESS_FUNCTIONS = {
     "balanced_sse": balanced_sse,   # class-balanced variant
     "f1": f1_fitness,               # the paper's future-work suggestion
 }
-
-#: Evaluation engines selectable on the trainer.  All three produce the
-#: same classification decisions; ``fused`` and ``vectorised`` are
-#: bit-identical, ``interpreted`` is the floating-point-close reference.
-ENGINES = ("fused", "vectorised", "interpreted")
 
 
 @dataclass
@@ -98,31 +95,15 @@ class RlgpTrainer:
             setting); when off, crossover uses ``config.max_page_size``.
         recurrent: keep registers across a document's words (paper
             setting); when off, registers reset before every word -- the
-            ablation that removes all temporal information.
+            ablation that removes all temporal information -- so each
+            document is read as its final word alone
+            (:func:`~repro.gp.recurrent.final_words`).
         fitness: per-tournament fitness -- ``"sse"`` (Eq. 5, paper),
             ``"balanced_sse"``, or ``"f1"`` (the Sec. 9 future-work idea).
-        engine: evaluation engine -- ``"fused"`` (default; scores every
-            tournament/population batch in one numpy pass, see
-            :mod:`repro.gp.engine`), ``"vectorised"`` (the
-            per-program batch evaluator), or ``"interpreted"`` (the
-            per-document reference, for debugging).  All engines yield
-            the same evolution: fused and vectorised are bit-identical.
-        engine_jobs: opt-in process-parallel population sharding for
-            *full-population* scoring (final model selection); 0 keeps
-            everything inline.  Tournament-sized batches always run
-            inline -- forking per tournament would dominate the work.
-        semantic_cache_size: entries in the semantic fitness cache
-            (effective-code fingerprint x DSS subset version).  Offspring
-            whose crossover/mutation landed in introns are scored from
-            the cache instead of re-running the engine.  0 disables.
-        engine_optimize: run the fused engine's pack-time IR optimizer
-            (constant folding + semantic-intron elimination) and
-            population-level fingerprint dedup.  Bit-exact at float64,
-            so evolution is unchanged; on by default.
-        engine_dtype: fused-engine register-bank dtype
-            (:data:`~repro.gp.config.ENGINE_DTYPES`).  ``"float64"``
-            (default) keeps bit-identity with the reference evaluators;
-            ``"float32"`` trades exactness for bank bandwidth.
+
+    Offspring whose crossover/mutation landed in introns are scored from
+    a :class:`~repro.gp.engine.SemanticCache` (effective-code
+    fingerprint x DSS subset version) instead of re-running the engine.
     """
 
     def __init__(
@@ -135,31 +116,11 @@ class RlgpTrainer:
         dynamic_pages: bool = True,
         recurrent: bool = True,
         fitness: str = "sse",
-        engine: str = "fused",
-        engine_jobs: int = 0,
-        semantic_cache_size: int = 8192,
-        engine_optimize: bool = True,
-        engine_dtype: str = "float64",
     ) -> None:
         if fitness not in FITNESS_FUNCTIONS:
             raise ValueError(
                 f"unknown fitness {fitness!r}; choose from "
                 f"{sorted(FITNESS_FUNCTIONS)}"
-            )
-        if engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; choose from {ENGINES}"
-            )
-        if engine_jobs < 0:
-            raise ValueError(f"engine_jobs must be >= 0, got {engine_jobs}")
-        if semantic_cache_size < 0:
-            raise ValueError(
-                f"semantic_cache_size must be >= 0, got {semantic_cache_size}"
-            )
-        if engine_dtype not in ENGINE_DTYPES:
-            raise ValueError(
-                f"unknown engine dtype {engine_dtype!r}; choose from "
-                f"{ENGINE_DTYPES}"
             )
         self.fitness_name = fitness
         self._fitness_fn = FITNESS_FUNCTIONS[fitness]
@@ -170,12 +131,6 @@ class RlgpTrainer:
         self.dss_stratified = dss_stratified
         self.dynamic_pages = dynamic_pages
         self.recurrent = recurrent
-        self.engine_name = engine
-        self.engine_jobs = engine_jobs
-        self.semantic_cache_size = semantic_cache_size
-        self.engine_optimize = engine_optimize
-        self.engine_dtype = engine_dtype
-        self.evaluator = RecurrentEvaluator(config)
 
     # ------------------------------------------------------------------
     # public API
@@ -201,7 +156,9 @@ class RlgpTrainer:
         """
         seed = self.config.seed if seed is None else seed
         rng = Random(seed)
-        sequences = self._sequences(dataset)
+        sequences = dataset.sequences
+        if not self.recurrent:
+            sequences = final_words(sequences)
         labels = dataset.labels
         n_docs = len(dataset)
         if n_docs < self.config.tournament_size:
@@ -224,26 +181,14 @@ class RlgpTrainer:
             seed=seed,
         )
 
-        engine = FusedEngine(
-            self.config,
-            metrics=ctx.metrics if ctx is not None else None,
-            optimize=self.engine_optimize,
-            dedup=self.engine_optimize,
-            dtype=self.engine_dtype,
-        )
-        semantic_cache = (
-            SemanticCache(
-                self.semantic_cache_size,
-                metrics=ctx.metrics if ctx is not None else None,
-            )
-            if self.semantic_cache_size
-            else None
-        )
+        metrics = ctx.metrics if ctx is not None else None
+        engine = FusedEngine(self.config, metrics=metrics)
+        semantic_cache = SemanticCache(metrics=metrics)
 
         subset_indices = np.arange(n_docs)
         subset_labels = labels
         subset_version = -1
-        eval_pack = eval_remap = eval_sequences = None
+        packed_subset = None
         best_history: List[float] = []
         tick_interval = max(1, self.config.tournaments // 25)
         best_seen = float("inf")
@@ -251,14 +196,11 @@ class RlgpTrainer:
         for tournament in range(self.config.tournaments):
             subset_indices = dss.subset(tournament)
             if dss.version != subset_version:
-                packed_subset = self.evaluator.pack(
+                packed_subset = engine.pack(
                     [sequences[i] for i in subset_indices]
                 )
                 subset_labels = labels[subset_indices]
                 subset_version = dss.version
-                eval_pack, eval_remap, eval_sequences = self._prepare_eval(
-                    packed_subset
-                )
 
             slots = rng.sample(range(len(population)), self.config.tournament_size)
             stale = [
@@ -268,12 +210,8 @@ class RlgpTrainer:
             ]
             pending = []
             for member in stale:
-                hit = (
-                    semantic_cache.get(
-                        member.program.semantic_fingerprint(), subset_version
-                    )
-                    if semantic_cache is not None
-                    else None
+                hit = semantic_cache.get(
+                    member.program.semantic_fingerprint(), subset_version
                 )
                 if hit is not None:
                     member.cache_fitness, member.cache_squashed = hit
@@ -281,25 +219,20 @@ class RlgpTrainer:
                 else:
                     pending.append(member)
             if pending:
-                raws = self._batch_outputs(
-                    engine,
-                    [member.program for member in pending],
-                    eval_pack,
-                    eval_remap,
-                    eval_sequences,
+                raws = engine.outputs(
+                    [member.program for member in pending], packed_subset
                 )
                 for member, raw in zip(pending, raws):
                     squashed = squash_output(raw)
                     member.cache_squashed = squashed
                     member.cache_fitness = self._fitness_fn(subset_labels, squashed)
                     member.cache_version = subset_version
-                    if semantic_cache is not None:
-                        semantic_cache.put(
-                            member.program.semantic_fingerprint(),
-                            subset_version,
-                            member.cache_fitness,
-                            squashed,
-                        )
+                    semantic_cache.put(
+                        member.program.semantic_fingerprint(),
+                        subset_version,
+                        member.cache_fitness,
+                        squashed,
+                    )
             scored = [
                 (population[slot].cache_fitness, slot) for slot in slots
             ]
@@ -393,80 +326,6 @@ class RlgpTrainer:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _sequences(self, dataset: EncodedDataset) -> List[np.ndarray]:
-        return dataset.sequences
-
-    def _fitness(self, program: Program, packed, labels: np.ndarray) -> float:
-        raw = self._outputs(program, packed)
-        return self._fitness_fn(labels, squash_output(raw))
-
-    def _outputs(self, program: Program, packed) -> np.ndarray:
-        """Raw outputs of one program (kept for single-program callers)."""
-        eval_pack, remap, sequences = self._prepare_eval(packed)
-        if self.engine_name == "interpreted":
-            raw = self.evaluator.outputs_interpreted(program, sequences)
-        else:
-            raw = self.evaluator.outputs(program, eval_pack)
-        if remap is None:
-            return raw
-        unsorted = np.zeros(len(raw))
-        unsorted[remap] = raw
-        return unsorted
-
-    def _prepare_eval(self, packed: PackedSequences):
-        """Evaluation pack, column remap, and (interpreted-only) sequences.
-
-        Recurrent mode evaluates ``packed`` as-is.  The non-recurrent
-        ablation wipes state before every word, so only each document's
-        final word matters: those are re-packed once per subset, and the
-        remap array restores the caller's original document order.
-        """
-        if self.recurrent:
-            eval_pack, remap = packed, None
-        else:
-            final_words = []
-            for row, length in zip(packed.inputs, packed.lengths):
-                if length > 0:
-                    final_words.append(row[length - 1 : length])
-                else:
-                    final_words.append(np.zeros((0, self.config.n_inputs)))
-            eval_pack, remap = self.evaluator.pack(final_words), packed.order
-        sequences = (
-            eval_pack.unpack() if self.engine_name == "interpreted" else None
-        )
-        return eval_pack, remap, sequences
-
-    def _batch_outputs(
-        self,
-        engine: FusedEngine,
-        programs: List[Program],
-        eval_pack: PackedSequences,
-        remap: Optional[np.ndarray],
-        sequences,
-        n_jobs: int = 0,
-    ) -> np.ndarray:
-        """``(len(programs), n_docs)`` raw outputs via the configured engine."""
-        if not programs:
-            return np.zeros((0, len(eval_pack)))
-        if self.engine_name == "fused":
-            raws = engine.outputs(programs, eval_pack, n_jobs=n_jobs)
-        elif self.engine_name == "vectorised":
-            raws = np.stack(
-                [self.evaluator.outputs(p, eval_pack) for p in programs]
-            )
-        else:
-            raws = np.stack(
-                [
-                    self.evaluator.outputs_interpreted(p, sequences)
-                    for p in programs
-                ]
-            )
-        if remap is None:
-            return raws
-        unsorted = np.zeros_like(raws)
-        unsorted[:, remap] = raws
-        return unsorted
-
     def _finalise(
         self,
         engine: FusedEngine,
@@ -477,15 +336,8 @@ class RlgpTrainer:
         controller: DynamicPageController,
         seed: int,
     ) -> EvolutionResult:
-        packed_full = self.evaluator.pack(sequences)
-        eval_pack, remap, eval_sequences = self._prepare_eval(packed_full)
-        raws = self._batch_outputs(
-            engine,
-            [member.program for member in population],
-            eval_pack,
-            remap,
-            eval_sequences,
-            n_jobs=self.engine_jobs,
+        raws = engine.outputs(
+            [member.program for member in population], engine.pack(sequences)
         )
         best_program = None
         best_fitness = float("inf")

@@ -429,6 +429,7 @@ def load_pipeline(directory: Union[str, Path], corpus: Corpus) -> ProSysPipeline
                 config=gp_config,
                 threshold=payload["threshold"],
                 train_fitness=payload["train_fitness"],
+                recurrent=config.recurrent,
             )
         )
     return pipeline
@@ -615,8 +616,15 @@ def save_classifier(
     )
 
 
-def load_classifier(directory: Union[str, Path]) -> RlgpBinaryClassifier:
-    """Restore a classifier stage written by :func:`save_classifier`."""
+def load_classifier(
+    directory: Union[str, Path], recurrent: bool = True
+) -> RlgpBinaryClassifier:
+    """Restore a classifier stage written by :func:`save_classifier`.
+
+    Args:
+        recurrent: whether the program was evolved recurrently.  The
+            stage does not record it; the run's ``ProSysConfig`` does.
+    """
     payload, _ = _read_stage(directory, "rlgp")
     gp_config = _gp_config_from_dict(_stage_field(payload, "gp", "rlgp"))
     return RlgpBinaryClassifier(
@@ -625,4 +633,5 @@ def load_classifier(directory: Union[str, Path]) -> RlgpBinaryClassifier:
         config=gp_config,
         threshold=_stage_field(payload, "threshold", "rlgp"),
         train_fitness=_stage_field(payload, "train_fitness", "rlgp"),
+        recurrent=recurrent,
     )

@@ -27,8 +27,7 @@ from repro.evaluation.metrics import BinaryCounts, MultiLabelScores, score_multi
 from repro.features import ALL_SELECTORS
 from repro.features.base import FeatureSet
 from repro.gp.config import GpConfig
-from repro.gp.config import ENGINE_DTYPES
-from repro.gp.trainer import ENGINES, RlgpTrainer
+from repro.gp.trainer import RlgpTrainer
 from repro.preprocessing.pipeline import Preprocessor
 from repro.preprocessing.tokenized import TokenizedCorpus
 from repro.runtime import RunContext, parallel_map
@@ -72,19 +71,6 @@ class ProSysConfig:
             on; turning one off is the corresponding ablation).
         fitness: per-tournament fitness function -- ``"sse"`` (Eq. 5,
             paper), ``"balanced_sse"``, or ``"f1"`` (Sec. 9 future work).
-        gp_engine: RLGP evaluation engine -- ``"fused"`` (default,
-            population-batched; see :mod:`repro.gp.engine`),
-            ``"vectorised"``, or ``"interpreted"``.  All three produce
-            the same models; the knob exists for debugging and for the
-            differential tests.
-        gp_optimize: run the fused engine's pack-time IR optimizer and
-            population-level fingerprint dedup (bit-exact at float64;
-            see :mod:`repro.gp.optimize`).  On by default; turning it
-            off recovers the pre-optimizer engine for differential
-            comparisons.
-        gp_engine_dtype: fused-engine register-bank dtype --
-            ``"float64"`` (default, bit-identical) or ``"float32"``
-            (opt-in, halves bank traffic at reduced precision).
         seed: base seed for the whole pipeline.
     """
 
@@ -103,9 +89,6 @@ class ProSysConfig:
     dynamic_pages: bool = True
     recurrent: bool = True
     fitness: str = "sse"
-    gp_engine: str = "fused"
-    gp_optimize: bool = True
-    gp_engine_dtype: str = "float64"
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -113,15 +96,6 @@ class ProSysConfig:
             raise ValueError(
                 f"unknown feature method {self.feature_method!r}; "
                 f"choose one of {sorted(ALL_SELECTORS)}"
-            )
-        if self.gp_engine not in ENGINES:
-            raise ValueError(
-                f"unknown gp_engine {self.gp_engine!r}; choose from {ENGINES}"
-            )
-        if self.gp_engine_dtype not in ENGINE_DTYPES:
-            raise ValueError(
-                f"unknown gp_engine_dtype {self.gp_engine_dtype!r}; "
-                f"choose from {ENGINE_DTYPES}"
             )
 
     def selector(self):
@@ -316,9 +290,6 @@ class ProSysPipeline:
                     dynamic_pages=config.dynamic_pages,
                     recurrent=config.recurrent,
                     fitness=config.fitness,
-                    engine=config.gp_engine,
-                    engine_optimize=config.gp_optimize,
-                    engine_dtype=config.gp_engine_dtype,
                 )
                 classifier = RlgpBinaryClassifier.fit(
                     dataset,
@@ -352,7 +323,12 @@ class ProSysPipeline:
                     dataset, classifier = trained
                     self._train_datasets[category] = dataset
                 else:
-                    classifier = store.load(f"rlgp/{category}", load_classifier)
+                    classifier = store.load(
+                        f"rlgp/{category}",
+                        lambda directory: load_classifier(
+                            directory, recurrent=config.recurrent
+                        ),
+                    )
                     ctx.emit("checkpoint_loaded", stage=f"rlgp/{category}")
                 self.suite.add(classifier)
 
@@ -382,10 +358,10 @@ class ProSysPipeline:
     def decision_matrix(self, docs: Sequence[Document]) -> Dict[str, "np.ndarray"]:
         """Per-category squashed decision values for a batch of documents.
 
-        The batch runs through each category's vectorised RLGP evaluator
-        in one pass (documents packed together), which is the fast path
-        the serving layer builds on.  Returns category -> array aligned
-        with ``docs``.
+        Each category's champion scores the whole batch in one
+        :class:`~repro.gp.engine.FusedEngine` call (documents packed
+        together), which is the fast path the serving layer builds on.
+        Returns category -> array aligned with ``docs``.
         """
         self._require_fitted()
         values: Dict[str, "np.ndarray"] = {}

@@ -235,9 +235,6 @@ class RetrainOrchestrator:
                     dynamic_pages=config.dynamic_pages,
                     recurrent=config.recurrent,
                     fitness=config.fitness,
-                    engine=config.gp_engine,
-                    engine_optimize=config.gp_optimize,
-                    engine_dtype=config.gp_engine_dtype,
                 )
                 classifier = RlgpBinaryClassifier.fit(
                     dataset,

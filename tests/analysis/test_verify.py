@@ -148,9 +148,9 @@ def test_every_packing_in_a_trainer_run_verifies(monkeypatch):
     captured = []
     original = engine_module.PackedPrograms.from_programs.__func__
 
-    def capturing(cls, programs, config, optimizer=None):
-        packed = original(cls, programs, config, optimizer=optimizer)
-        captured.append((packed, list(programs), config, optimizer))
+    def capturing(cls, programs, config):
+        packed = original(cls, programs, config)
+        captured.append((packed, list(programs), config))
         return packed
 
     monkeypatch.setattr(
@@ -159,11 +159,8 @@ def test_every_packing_in_a_trainer_run_verifies(monkeypatch):
     config = GpConfig().small(tournaments=60, seed=3)
     RlgpTrainer(config).train(_toy_dataset(), seed=3)
     assert captured, "the fused engine built no packings?"
-    assert any(optimizer is not None for *_, optimizer in captured), (
-        "the trainer's engine should pack through the optimizer by default"
-    )
-    for packed, programs, config, optimizer in captured:
-        verify_packing(packed, programs, config, optimizer=optimizer)
+    for packed, programs, config in captured:
+        verify_packing(packed, programs, config)
 
 
 def test_env_gate_verifies_inside_the_engine(monkeypatch):

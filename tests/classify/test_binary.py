@@ -5,6 +5,7 @@ import pytest
 
 from repro.classify.binary import RlgpBinaryClassifier
 from repro.classify.threshold import median_threshold
+from repro.gp.fitness import balanced_sse, squash_output
 from repro.gp.trainer import RlgpTrainer
 
 
@@ -61,3 +62,24 @@ def test_restarts_no_worse_than_single(earn_train, small_config):
 
 def test_category_recorded(classifier):
     assert classifier.category == "earn"
+
+
+def test_non_recurrent_rule_is_read_as_evolved(earn_train, small_config):
+    """Evolution scored a ``recurrent=False`` rule on each document's
+    final word; its decision values and Eq. 6 threshold must read the
+    documents the same way, not recurrently."""
+    classifier = RlgpBinaryClassifier.fit(
+        earn_train,
+        RlgpTrainer(small_config, recurrent=False),
+        n_restarts=1,
+        base_seed=5,
+    )
+    output = classifier.config.output_register
+    reference = squash_output(np.array([
+        classifier.program.run_sequence(sequence[-1:])[output]
+        for sequence in earn_train.sequences
+    ]))
+    values = classifier.decision_values(earn_train.sequences)
+    assert np.array_equal(values, reference)
+    assert classifier.threshold == median_threshold(reference, earn_train.labels)
+    assert classifier.train_fitness == balanced_sse(earn_train.labels, reference)

@@ -1,13 +1,16 @@
-"""Tests for the fused population-level evaluation engine.
+"""Tests for the fused evaluation engine, the one production evaluator.
 
 The central property: :class:`FusedEngine` is **bit-identical** to the
-per-program vectorised evaluator (they run the same IEEE op sequence per
-element), and both are floating-point-close to the per-document
-interpreter.  The differential tests sweep random programs over ragged
-document batches, including the nasty corners: empty sequences,
-all-intron programs, and division-protection edges.
+per-document reference (:class:`RecurrentEvaluator`, i.e.
+:meth:`Program.run_sequence`) -- they run the same IEEE op sequence per
+element -- at every batch size from one program up.  The differential
+tests sweep random programs over ragged document batches, including the
+nasty corners: empty sequences, all-intron programs, division-protection
+edges and multi-block sweeps.
 """
 
+import sys
+import threading
 from random import Random
 
 import numpy as np
@@ -15,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.gp import engine as engine_module
 from repro.gp.config import GpConfig
 from repro.gp.engine import (
     NOOP_INSTRUCTION,
@@ -103,9 +107,9 @@ def test_noop_instruction_is_transparent():
 
 
 # ----------------------------------------------------------------------
-# differential: fused vs vectorised (bit-identical) vs interpreted
+# differential: fused vs the reference (bit-identical)
 # ----------------------------------------------------------------------
-def test_fused_bit_identical_to_vectorised_fixed():
+def test_fused_bit_identical_to_reference_fixed():
     rng = Random(3)
     sequences = _random_sequences(rng, 30, 12)
     programs = _random_population(25, seed=100)
@@ -122,14 +126,15 @@ def test_fused_bit_identical_to_vectorised_fixed():
 @given(
     pop_seed=st.integers(0, 10**6),
     data_seed=st.integers(0, 10**6),
-    n_programs=st.integers(2, 10),
+    n_programs=st.integers(1, 10),
     n_docs=st.integers(1, 10),
 )
 def test_fused_matches_both_evaluators_property(
     pop_seed, data_seed, n_programs, n_docs
 ):
-    """Arbitrary populations x ragged batches: fused == vectorised
-    bit-for-bit, and both match the interpreter to float tolerance."""
+    """Arbitrary batches, one program included, x ragged documents: each
+    row equals the reference and the program's own one-program sweep,
+    bit for bit."""
     sequences = _random_sequences(Random(data_seed), n_docs, 7)
     programs = _random_population(n_programs, seed=pop_seed)
     engine = _engine()
@@ -137,8 +142,24 @@ def test_fused_matches_both_evaluators_property(
     fused = engine.outputs(programs, packed)
     for i, program in enumerate(programs):
         assert np.array_equal(fused[i], EVALUATOR.outputs(program, packed))
-        slow = EVALUATOR.outputs_interpreted(program, sequences)
-        np.testing.assert_allclose(fused[i], slow, rtol=1e-9, atol=1e-9)
+        assert np.array_equal(fused[i], engine.outputs([program], packed)[0])
+
+
+def test_multi_block_sweeps_match_one_block(monkeypatch):
+    """Lowering the bank budget forces the document axis into several
+    blocks; outputs stay bit-identical to one sweep and the reference."""
+    sequences = _random_sequences(Random(12), 150, 6)
+    programs = _random_population(6, seed=300)
+    whole = _engine()
+    packed = whole.pack(sequences)
+    expected = whole.outputs(programs, packed)
+    monkeypatch.setattr(engine_module, "_BLOCK_BYTES", 1)
+    registry = MetricsRegistry()
+    blocked = _engine(registry).outputs(programs, packed)
+    assert registry.snapshot()["engine_block_sweeps_total"] == 3  # 64+64+22
+    assert np.array_equal(blocked, expected)
+    for i, program in enumerate(programs):
+        assert np.array_equal(blocked[i], EVALUATOR.outputs(program, packed))
 
 
 def test_fused_handles_empty_sequences():
@@ -207,12 +228,6 @@ def test_fused_division_protection_edges():
     fused = engine.outputs([program, other], packed)
     for i, p in enumerate([program, other]):
         assert np.array_equal(fused[i], EVALUATOR.outputs(p, packed))
-        np.testing.assert_allclose(
-            fused[i],
-            EVALUATOR.outputs_interpreted(p, sequences),
-            rtol=1e-9,
-            atol=1e-9,
-        )
 
 
 def test_fused_constant_division_protection():
@@ -229,29 +244,49 @@ def test_fused_constant_division_protection():
     assert np.array_equal(fused[1], expected)
 
 
-def test_single_program_delegates_but_matches():
-    program = _random_population(1, seed=55)[0]
-    engine = _engine()
-    sequences = _random_sequences(Random(6), 9, 8)
-    packed = engine.pack(sequences)
-    fused = engine.outputs([program], packed)
-    assert fused.shape == (1, 9)
-    assert np.array_equal(fused[0], EVALUATOR.outputs(program, packed))
-
-
 def test_empty_program_list():
     engine = _engine()
     packed = engine.pack(_random_sequences(Random(7), 4, 5))
     assert engine.outputs([], packed).shape == (0, 4)
 
 
-def test_sharded_outputs_bit_identical():
-    programs = _random_population(13, seed=200)
+def test_engine_is_safe_to_share_between_threads():
+    """Threads scoring through one engine (a served classifier's engine
+    is reached from the batcher's drain thread and the rollout mirror
+    thread) evict each other's plans; every answer must stay exact."""
     engine = _engine()
-    packed = engine.pack(_random_sequences(Random(9), 15, 10))
-    inline = engine.outputs(programs, packed)
-    sharded = engine.outputs(programs, packed, n_jobs=4)
-    assert np.array_equal(inline, sharded)
+    packed = engine.pack(_random_sequences(Random(21), 6, 5))
+    # More distinct batches than the plan memo holds, so it evicts.
+    batches = [
+        _random_population(1 + i % 3, seed=400 + 10 * i) for i in range(12)
+    ]
+    expected = [engine.outputs(batch, packed) for batch in batches]
+    failures = []
+
+    def score(offset):
+        try:
+            for step in range(30):
+                index = (offset + step) % len(batches)
+                got = engine.outputs(batches[index], packed)
+                if not np.array_equal(got, expected[index]):
+                    failures.append(index)
+        except Exception as error:  # noqa: BLE001 - reported below
+            failures.append(error)
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=score, args=(k,)) for k in range(8)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
 
 
 # ----------------------------------------------------------------------
@@ -259,11 +294,10 @@ def test_sharded_outputs_bit_identical():
 # ----------------------------------------------------------------------
 def test_engine_counters_tick():
     registry = MetricsRegistry()
-    # The optimizer shortens streams and dedup skips rows, so the exact
-    # instruction arithmetic is pinned on the unoptimized engine (the
-    # optimized counters are covered in tests/gp/test_optimize.py).
-    engine = FusedEngine(CONFIG, metrics=registry, optimize=False, dedup=False)
+    engine = FusedEngine(CONFIG, metrics=registry)
     programs = _random_population(5)
+    # Dedup would skip rows; these five are semantically distinct.
+    assert len({p.semantic_fingerprint() for p in programs}) == 5
     sequences = [np.full((3, 2), 0.5), np.full((1, 2), 0.5)]
     packed = engine.pack(sequences)
     engine.outputs(programs, packed)

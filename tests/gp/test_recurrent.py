@@ -1,22 +1,30 @@
-"""Tests for the vectorised recurrent evaluator.
+"""Tests for document packing and recurrent evaluation.
 
-The central property: the vectorised batch evaluator agrees with the
-interpreted per-document reference on arbitrary programs and sequences.
+The central property: the vectorised kernel (:class:`FusedEngine`, here
+on one-program batches) agrees bit for bit with the interpreted
+per-document reference (:class:`RecurrentEvaluator`) on arbitrary
+programs and sequences.
 """
 
 from random import Random
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gp.config import GpConfig
+from repro.gp.engine import FusedEngine
 from repro.gp.program import Program
-from repro.gp.recurrent import PackedSequences, RecurrentEvaluator
+from repro.gp.recurrent import PackedSequences, RecurrentEvaluator, final_words
+from repro.serve.metrics import MetricsRegistry
 
 CONFIG = GpConfig().small(tournaments=10)
 EVALUATOR = RecurrentEvaluator(CONFIG)
+ENGINE = FusedEngine(CONFIG, metrics=MetricsRegistry())
+
+
+def _fast(program, packed):
+    return ENGINE.outputs([program], packed)[0]
 
 
 def _random_sequences(rng, n_docs, max_len):
@@ -88,9 +96,9 @@ def test_vectorised_matches_interpreted_fixed():
     packed = EVALUATOR.pack(sequences)
     for seed in range(10):
         program = Program.random(Random(seed), CONFIG, page_size=1)
-        fast = EVALUATOR.outputs(program, packed)
-        slow = EVALUATOR.outputs_interpreted(program, sequences)
-        np.testing.assert_allclose(fast, slow, rtol=1e-9, atol=1e-9)
+        assert np.array_equal(
+            _fast(program, packed), EVALUATOR.outputs(program, packed)
+        )
 
 
 @settings(max_examples=40, deadline=None)
@@ -104,14 +112,15 @@ def test_vectorised_matches_interpreted_property(program_seed, data_seed, n_docs
     sequences = _random_sequences(Random(data_seed), n_docs, 7)
     program = Program.random(Random(program_seed), CONFIG, page_size=1)
     packed = EVALUATOR.pack(sequences)
-    fast = EVALUATOR.outputs(program, packed)
-    slow = EVALUATOR.outputs_interpreted(program, sequences)
-    np.testing.assert_allclose(fast, slow, rtol=1e-9, atol=1e-9)
+    assert np.array_equal(
+        _fast(program, packed), EVALUATOR.outputs(program, packed)
+    )
 
 
 def test_empty_documents_output_initial_register():
     program = Program.random(Random(4), CONFIG, page_size=1)
     packed = EVALUATOR.pack([np.zeros((0, 2))])
+    assert _fast(program, packed)[0] == 0.0
     assert EVALUATOR.outputs(program, packed)[0] == 0.0
 
 
@@ -123,9 +132,9 @@ def test_outputs_preserve_original_order():
     ]
     program = Program.random(Random(5), CONFIG, page_size=1)
     packed = EVALUATOR.pack(sequences)
-    fast = EVALUATOR.outputs(program, packed)
-    slow = EVALUATOR.outputs_interpreted(program, sequences)
-    np.testing.assert_allclose(fast, slow)
+    expected = [program.run_sequence(s)[0] for s in sequences]
+    np.testing.assert_array_equal(_fast(program, packed), expected)
+    np.testing.assert_array_equal(EVALUATOR.outputs(program, packed), expected)
 
 
 def test_trace_last_value_equals_final_output():
@@ -134,9 +143,9 @@ def test_trace_last_value_equals_final_output():
     if len(sequence) == 0:
         sequence = np.array([[0.5, 0.5]])
     program = Program.random(Random(7), CONFIG, page_size=1)
-    trace = EVALUATOR.trace(program, sequence)
-    final = EVALUATOR.outputs_interpreted(program, [sequence])[0]
-    assert trace[-1] == pytest.approx(final)
+    trace = program.trace_sequence(sequence)
+    final = EVALUATOR.outputs(program, EVALUATOR.pack([sequence]))[0]
+    assert trace[-1] == final
 
 
 def test_no_output_register_sharing_between_documents():
@@ -144,10 +153,17 @@ def test_no_output_register_sharing_between_documents():
     program = Program.random(Random(8), CONFIG, page_size=1)
     seq_a = np.full((4, 2), 0.7)
     seq_b = np.full((2, 2), 0.1)
-    together = EVALUATOR.outputs(program, EVALUATOR.pack([seq_a, seq_b]))
-    alone_a = EVALUATOR.outputs(program, EVALUATOR.pack([seq_a]))[0]
-    alone_b = EVALUATOR.outputs(program, EVALUATOR.pack([seq_b]))[0]
-    np.testing.assert_allclose(together, [alone_a, alone_b])
+    together = _fast(program, EVALUATOR.pack([seq_a, seq_b]))
+    alone_a = _fast(program, EVALUATOR.pack([seq_a]))[0]
+    alone_b = _fast(program, EVALUATOR.pack([seq_b]))[0]
+    np.testing.assert_array_equal(together, [alone_a, alone_b])
+
+
+def test_final_words_read_the_last_word_only():
+    sequences = [np.array([[0.1, 0.2], [0.3, 0.4]]), np.zeros((0, 2))]
+    cut = final_words(sequences)
+    np.testing.assert_array_equal(cut[0], [[0.3, 0.4]])
+    assert cut[1].shape == (0, 2)
 
 
 # ----------------------------------------------------------------------

@@ -1,13 +1,19 @@
 """Unit and integration tests for the evolution driver."""
 
+from random import Random
+
 import numpy as np
 import pytest
 
 from repro.encoding.representation import EncodedDataset, EncodedDocument
+from repro.gp import trainer as trainer_module
 from repro.gp.config import GpConfig
+from repro.gp.engine import FusedEngine, SemanticCache
 from repro.gp.fitness import squash_output, sum_squared_error
+from repro.gp.program import Program
 from repro.gp.recurrent import RecurrentEvaluator
 from repro.gp.trainer import RlgpTrainer
+from repro.serve.metrics import MetricsRegistry
 
 
 def _toy_dataset(n_per_class=20, seed=0):
@@ -55,17 +61,15 @@ def toy_result(toy_dataset):
 def test_training_improves_over_random(toy_dataset, toy_result):
     """The evolved program beats the median random program."""
     config = toy_result.config
-    evaluator = RecurrentEvaluator(config)
-    packed = evaluator.pack(toy_dataset.sequences)
-    from random import Random
-
-    from repro.gp.program import Program
-
-    random_fitness = []
-    for seed in range(20):
-        program = Program.random(Random(seed), config, page_size=1)
-        squashed = squash_output(evaluator.outputs(program, packed))
-        random_fitness.append(sum_squared_error(toy_dataset.labels, squashed))
+    engine = FusedEngine(config, metrics=MetricsRegistry())
+    programs = [
+        Program.random(Random(seed), config, page_size=1) for seed in range(20)
+    ]
+    raws = engine.outputs(programs, engine.pack(toy_dataset.sequences))
+    random_fitness = [
+        sum_squared_error(toy_dataset.labels, squash_output(raw))
+        for raw in raws
+    ]
     assert toy_result.train_fitness < np.median(random_fitness)
 
 
@@ -161,65 +165,72 @@ def test_balanced_fitness_training_runs(toy_dataset):
 
 
 # ----------------------------------------------------------------------
-# evaluation engines
+# the evaluation kernel against the reference
 # ----------------------------------------------------------------------
-def test_engine_choices_train_identical_models(toy_dataset):
-    """fused / vectorised / interpreted drive the same evolution: the
-    fused and vectorised engines are bit-identical, so every tournament
-    ranks identically and the final program's code matches byte for byte
-    (the interpreted reference agrees too on this workload)."""
+class _ReferenceEngine:
+    """Stands in for :class:`FusedEngine`: every program scored one
+    document at a time by :meth:`Program.run_sequence`."""
+
+    def __init__(self, config, metrics=None):
+        self._reference = RecurrentEvaluator(config)
+
+    def pack(self, sequences):
+        return self._reference.pack(sequences)
+
+    def outputs(self, programs, packed):
+        rows = [self._reference.outputs(p, packed) for p in programs]
+        return np.array(rows).reshape(len(programs), len(packed))
+
+
+def _evolution(result):
+    return (
+        result.program.code,
+        result.train_fitness,
+        result.best_fitness_history,
+        result.page_size_history,
+        [program.code for program in result.final_population],
+    )
+
+
+def _kernel_and_reference_runs(monkeypatch, dataset, config, **switches):
+    kernel = RlgpTrainer(config, **switches).train(dataset, seed=config.seed)
+    with monkeypatch.context() as patch:
+        patch.setattr(trainer_module, "FusedEngine", _ReferenceEngine)
+        reference = RlgpTrainer(config, **switches).train(
+            dataset, seed=config.seed
+        )
+    return _evolution(kernel), _evolution(reference)
+
+
+def test_engine_choices_train_identical_models(toy_dataset, monkeypatch):
+    """The one kernel and the per-document reference drive the same
+    evolution: same champion code and fitness, same per-tournament
+    history, same final population."""
     config = GpConfig().small(tournaments=80, seed=11)
-    results = {
-        engine: RlgpTrainer(config, engine=engine).train(toy_dataset, seed=11)
-        for engine in ("fused", "vectorised", "interpreted")
-    }
-    assert results["fused"].program.code == results["vectorised"].program.code
-    assert results["fused"].train_fitness == results["vectorised"].train_fitness
-    assert (
-        results["fused"].best_fitness_history
-        == results["vectorised"].best_fitness_history
+    kernel, reference = _kernel_and_reference_runs(
+        monkeypatch, toy_dataset, config
     )
-    assert results["fused"].program.code == results["interpreted"].program.code
+    assert kernel == reference
 
 
-def test_semantic_cache_does_not_change_evolution(toy_dataset):
-    config = GpConfig().small(tournaments=80, seed=12)
-    cached = RlgpTrainer(config, engine="fused").train(toy_dataset, seed=12)
-    uncached = RlgpTrainer(
-        config, engine="fused", semantic_cache_size=0
-    ).train(toy_dataset, seed=12)
-    assert cached.program.code == uncached.program.code
-    assert cached.train_fitness == uncached.train_fitness
-
-
-def test_engine_jobs_do_not_change_evolution(toy_dataset):
-    config = GpConfig().small(tournaments=60, seed=13)
-    inline = RlgpTrainer(config, engine="fused").train(toy_dataset, seed=13)
-    sharded = RlgpTrainer(
-        config, engine="fused", engine_jobs=4
-    ).train(toy_dataset, seed=13)
-    assert inline.program.code == sharded.program.code
-    assert inline.train_fitness == sharded.train_fitness
-
-
-def test_non_recurrent_engines_agree(toy_dataset):
+def test_non_recurrent_engines_agree(toy_dataset, monkeypatch):
     config = GpConfig().small(tournaments=40, seed=14)
-    fused = RlgpTrainer(config, recurrent=False, engine="fused").train(
-        toy_dataset, seed=14
+    kernel, reference = _kernel_and_reference_runs(
+        monkeypatch, toy_dataset, config, recurrent=False
     )
-    vectorised = RlgpTrainer(
-        config, recurrent=False, engine="vectorised"
-    ).train(toy_dataset, seed=14)
-    assert fused.program.code == vectorised.program.code
+    assert kernel == reference
 
 
-def test_unknown_engine_rejected():
-    with pytest.raises(ValueError, match="engine"):
-        RlgpTrainer(GpConfig().small(tournaments=10), engine="gpu")
-    with pytest.raises(ValueError, match="engine_jobs"):
-        RlgpTrainer(GpConfig().small(tournaments=10), engine_jobs=-1)
-    with pytest.raises(ValueError, match="semantic_cache_size"):
-        RlgpTrainer(GpConfig().small(tournaments=10), semantic_cache_size=-1)
+def test_semantic_cache_does_not_change_evolution(toy_dataset, monkeypatch):
+    config = GpConfig().small(tournaments=80, seed=12)
+    cached = RlgpTrainer(config).train(toy_dataset, seed=12)
+    monkeypatch.setattr(
+        trainer_module,
+        "SemanticCache",
+        lambda metrics=None: SemanticCache(0, metrics=metrics),
+    )
+    uncached = RlgpTrainer(config).train(toy_dataset, seed=12)
+    assert _evolution(cached) == _evolution(uncached)
 
 
 def test_engine_counters_reach_run_context(toy_dataset):
@@ -227,7 +238,7 @@ def test_engine_counters_reach_run_context(toy_dataset):
 
     ctx = RunContext()
     config = GpConfig().small(tournaments=60, seed=15)
-    RlgpTrainer(config, engine="fused").train(toy_dataset, seed=15, ctx=ctx)
+    RlgpTrainer(config).train(toy_dataset, seed=15, ctx=ctx)
     snap = ctx.metrics.snapshot()
     assert snap["engine_batches_total"] > 0
     assert snap["engine_programs_evaluated_total"] > 0

@@ -7,9 +7,10 @@ import pytest
 
 from repro.corpus.sgml import SgmlError, parse_sgml
 from repro.gp.config import GpConfig
+from repro.gp.engine import FusedEngine
 from repro.gp.program import Program, REGISTER_LIMIT
-from repro.gp.recurrent import RecurrentEvaluator
 from repro.persistence import PersistenceError, load_pipeline
+from repro.serve.metrics import MetricsRegistry
 
 CONFIG = GpConfig().small(tournaments=10)
 
@@ -50,14 +51,14 @@ def _random_program(seed=0):
 
 
 def test_extreme_input_values_stay_finite():
-    evaluator = RecurrentEvaluator(CONFIG)
+    engine = FusedEngine(CONFIG, metrics=MetricsRegistry())
     hostile = [
         np.array([[1e308, -1e308], [1e-320, 0.0], [np.finfo(float).max, 1.0]])
     ]
-    for seed in range(5):
-        outputs = evaluator.outputs(_random_program(seed), evaluator.pack(hostile))
-        assert np.all(np.isfinite(outputs))
-        assert np.all(np.abs(outputs) <= REGISTER_LIMIT)
+    programs = [_random_program(seed) for seed in range(5)]
+    outputs = engine.outputs(programs, engine.pack(hostile))
+    assert np.all(np.isfinite(outputs))
+    assert np.all(np.abs(outputs) <= REGISTER_LIMIT)
 
 
 def test_interpreted_path_also_clamps():
@@ -69,10 +70,10 @@ def test_interpreted_path_also_clamps():
 def test_nan_inputs_do_not_crash():
     """NaN inputs cannot occur from the encoder, but a hostile caller's
     NaNs must not hang or raise inside the evaluator."""
-    evaluator = RecurrentEvaluator(CONFIG)
+    engine = FusedEngine(CONFIG, metrics=MetricsRegistry())
     sequences = [np.array([[np.nan, 0.5], [0.5, np.nan]])]
-    outputs = evaluator.outputs(_random_program(1), evaluator.pack(sequences))
-    assert outputs.shape == (1,)
+    outputs = engine.outputs([_random_program(1)], engine.pack(sequences))
+    assert outputs.shape == (1, 1)
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from repro import GpConfig, ProSysConfig, ProSysPipeline
 from repro.persistence import PersistenceError, load_pipeline, save_pipeline
+from repro.runtime import CheckpointStore, RunContext
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +94,34 @@ def test_tracking_identical_after_round_trip(fitted, round_tripped, corpus):
     restored = round_tripped.track(doc, "earn")
     np.testing.assert_allclose(restored.raw, original.raw)
     assert restored.words == original.words
+
+
+def test_non_recurrent_rules_reload_as_evolved(corpus, tmp_path):
+    """A reloaded or resumed non-recurrent rule still reads documents by
+    their final word: the flag comes from the manifest's
+    ``config.recurrent`` and, on resume, from the run's config."""
+    config = ProSysConfig(
+        feature_method="mi",
+        n_features=60,
+        som_epochs=4,
+        gp=GpConfig().small(tournaments=40),
+        recurrent=False,
+        seed=13,
+    )
+
+    def fit():
+        ctx = RunContext(seed=13, checkpoints=CheckpointStore(tmp_path / "run"))
+        return ProSysPipeline(config).fit(corpus, categories=["earn"], ctx=ctx)
+
+    fitted = fit()
+    save_pipeline(fitted, tmp_path / "model")
+    docs = corpus.test_documents[:20]
+    expected = fitted.decision_matrix(docs)["earn"]
+    for pipeline in (load_pipeline(tmp_path / "model", corpus), fit()):
+        assert not pipeline.suite.classifiers["earn"].recurrent
+        np.testing.assert_array_equal(
+            pipeline.decision_matrix(docs)["earn"], expected
+        )
 
 
 def test_wrong_format_version_rejected(fitted, corpus, tmp_path):

@@ -17,12 +17,15 @@ from hypothesis import strategies as st
 from repro.classify.threshold import median_threshold
 from repro.features.base import FeatureSet
 from repro.gp.config import GpConfig
+from repro.gp.engine import FusedEngine
 from repro.gp.operators import breed
 from repro.gp.program import Program
 from repro.gp.recurrent import RecurrentEvaluator
+from repro.serve.metrics import MetricsRegistry
 
 CONFIG = GpConfig().small(tournaments=10)
 EVALUATOR = RecurrentEvaluator(CONFIG)
+ENGINE = FusedEngine(CONFIG, metrics=MetricsRegistry())
 
 _tokens = st.lists(
     st.sampled_from(["profit", "wheat", "oil", "bank", "ship", "trade", "corn"]),
@@ -78,12 +81,12 @@ def test_outputs_permutation_equivariant(program_seed, data_seed, permutation_se
         rng.random((int(length), 2)) for length in rng.integers(0, 8, size=8)
     ]
     program = Program.random(Random(program_seed), CONFIG, page_size=1)
-    base = EVALUATOR.outputs(program, EVALUATOR.pack(sequences))
+    base = ENGINE.outputs([program], ENGINE.pack(sequences))[0]
 
     order = np.random.default_rng(permutation_seed).permutation(len(sequences))
     shuffled = [sequences[i] for i in order]
-    shuffled_outputs = EVALUATOR.outputs(program, EVALUATOR.pack(shuffled))
-    np.testing.assert_allclose(shuffled_outputs, base[order], atol=1e-12)
+    shuffled_outputs = ENGINE.outputs([program], ENGINE.pack(shuffled))[0]
+    np.testing.assert_array_equal(shuffled_outputs, base[order])
 
 
 @settings(max_examples=60, deadline=None)
@@ -107,6 +110,7 @@ def test_effective_execution_output_identical(seed):
     rng = np.random.default_rng(seed)
     sequences = [rng.random((int(l), 2)) for l in rng.integers(1, 6, size=5)]
     program = Program.random(Random(seed), CONFIG, page_size=1)
-    fast = EVALUATOR.outputs(program, EVALUATOR.pack(sequences))
-    reference = EVALUATOR.outputs_interpreted(program, sequences)
-    np.testing.assert_allclose(fast, reference, atol=1e-9)
+    packed = ENGINE.pack(sequences)
+    fast = ENGINE.outputs([program], packed)[0]
+    reference = EVALUATOR.outputs(program, packed)
+    np.testing.assert_array_equal(fast, reference)

@@ -244,14 +244,12 @@ def test_engine_counters_visible_on_metrics(http_server, service, serve_corpus):
     assert snapshot["engine_programs_evaluated_total"] > before
     assert "engine_instructions_executed_total" in snapshot
     assert "engine_cache_hits_total" in snapshot
-    assert "engine_folded_instructions_total" in snapshot
     assert "engine_dedup_hits_total" in snapshot
     assert "engine_block_sweeps_total" in snapshot
     status, body = _get(f"{http_server}/metrics")
     assert status == 200
     assert "engine_programs_evaluated_total" in body
     assert "engine_batches_total" in body
-    assert "engine_folded_instructions_total" in body
 
 
 # ----------------------------------------------------------------------
