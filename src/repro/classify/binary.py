@@ -113,6 +113,30 @@ class RlgpBinaryClassifier:
         packed = self._engine.pack(list(sequences))
         return squash_output(self._engine.outputs([self.program], packed)[0])
 
+    def word_values(self, sequences: Sequence[np.ndarray]) -> List[np.ndarray]:
+        """Raw output after every word of each sequence (paper Sec. 8.2).
+
+        The rule is read after each word the way :meth:`decision_values`
+        reads it after the last one: a recurrent rule's value after word
+        ``t`` is its output register after word ``t``; a non-recurrent
+        rule reads word ``t`` alone (the final word of the prefix ending
+        at ``t``, see :func:`~repro.gp.recurrent.final_words`), so every
+        word is scored as a one-word document.
+        Squashed, each sequence's last value is its decision value; an
+        empty sequence yields an empty array.
+        """
+        sequences = list(sequences)
+        if self.recurrent:
+            packed = self._engine.pack(sequences)
+            return self._engine.word_outputs([self.program], packed)[0]
+        lengths = [len(sequence) for sequence in sequences]
+        words = [
+            word[None] for sequence in sequences for word in np.asarray(sequence)
+        ]
+        raw = self._engine.outputs([self.program], self._engine.pack(words))[0]
+        ends = np.cumsum(lengths, dtype=np.int64)
+        return [raw[end - length : end] for end, length in zip(ends, lengths)]
+
     def predict(self, dataset: EncodedDataset) -> np.ndarray:
         """+/-1 prediction per document via the Eq. 6 threshold."""
         values = self.decision_values(dataset.sequences)

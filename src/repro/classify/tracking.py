@@ -4,6 +4,13 @@ The output register is read after *every* word, not only the last one:
 rising values mean the context is moving toward the category (in class),
 falling values away from it.  Figures 5 and 6 of the paper plot exactly
 these traces.
+
+Traces come from :meth:`RlgpBinaryClassifier.word_values`, which reads a
+rule after each word the way its decision value reads it after the last
+one, so a trace always ends on the document's decision value.  A
+recurrent rule's value after word ``t`` is its output register after
+word ``t``; a non-recurrent rule (registers reset before every word)
+reads word ``t`` alone.
 """
 
 from __future__ import annotations
@@ -25,6 +32,8 @@ class TrackingTrace:
     Attributes:
         category: the tracking classifier's category.
         words: encoded words, in document order.
+        positions: each word's index in the document's token stream
+            (:attr:`EncodedDocument.positions`).
         raw: raw output-register value after each word.
         squashed: Eq. 4 projection of ``raw`` into [-1, 1].
         in_class_flags: per word, whether the squashed value clears the
@@ -34,6 +43,7 @@ class TrackingTrace:
 
     category: str
     words: Tuple[str, ...]
+    positions: Tuple[int, ...]
     raw: np.ndarray
     squashed: np.ndarray
     in_class_flags: np.ndarray
@@ -66,11 +76,12 @@ def track_document(
     classifier: RlgpBinaryClassifier, encoded: EncodedDocument
 ) -> TrackingTrace:
     """Trace one classifier over one encoded document (paper Fig. 5)."""
-    raw = classifier.program.trace_sequence(encoded.sequence)
+    raw = classifier.word_values([encoded.sequence])[0]
     squashed = squash_output(raw)
     return TrackingTrace(
         category=classifier.category,
         words=encoded.words,
+        positions=encoded.positions,
         raw=raw,
         squashed=squashed,
         in_class_flags=squashed > classifier.threshold,

@@ -20,6 +20,12 @@ kernel:
   DSS-subset version) -> (fitness, squashed outputs)`` so offspring whose
   crossover/mutation landed entirely in introns are never re-evaluated.
 
+The sweep reads the output register at each document's end
+(:meth:`FusedEngine.outputs`) or, for the word-tracking signal of paper
+Sec. 8.2, after every word (:meth:`FusedEngine.word_outputs`): one extra
+snapshot inside the same loop, so per-word traces are as exact as final
+outputs.  :meth:`Program.step` and its callers are the reference only.
+
 Engine activity is observable: counters for programs/documents/
 instructions evaluated and semantic-cache hits land on a shared
 :class:`~repro.serve.metrics.MetricsRegistry` (rendered by the serving
@@ -400,6 +406,39 @@ class FusedEngine:
         # Scatter the unique sweeps back onto the caller's rows.
         return raws[rows]
 
+    def word_outputs(
+        self, programs: Sequence[Program], packed: PackedSequences
+    ) -> List[List[np.ndarray]]:
+        """Raw output-register value after every word.
+
+        ``result[i][j]`` is program ``i``'s trace over document ``j``
+        (both in the caller's order): one value per word of that
+        document, empty for an empty document.  The same sweep as
+        :meth:`outputs`, snapshotting the output row after each word
+        instead of only at each document's end, so a trace's last value
+        is that document's :meth:`outputs` entry.
+        """
+        programs = list(programs)
+        unique, rows = self._dedup_rows(programs)
+        self._count(programs, unique, packed)
+        population, plan = self._packed_plan(unique)
+        words = np.zeros(
+            (population.n_programs, len(packed), packed.inputs.shape[1])
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._sweep(population, packed, plan, words)
+        # Undo both sorts: program rows and document columns.
+        traces = np.zeros_like(words)
+        traces[np.ix_(population.order, packed.order)] = words
+        if rows is not None:
+            traces = traces[rows]
+        lengths = np.empty(len(packed), dtype=np.int64)
+        lengths[packed.order] = packed.lengths
+        return [
+            [row[doc, :length] for doc, length in enumerate(lengths.tolist())]
+            for row in traces
+        ]
+
     def _dedup_rows(
         self, programs: Sequence[Program]
     ) -> Tuple[List[Program], Optional[np.ndarray]]:
@@ -599,8 +638,13 @@ class FusedEngine:
         population: PackedPrograms,
         packed: PackedSequences,
         plan: Optional["_SweepPlan"],
+        words: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Time-axis sweep; finals in the packed (sorted x sorted) order."""
+        """Time-axis sweep; finals in the packed (sorted x sorted) order.
+
+        With ``words`` (``(n_programs, n_docs, max_len)``, zeroed, same
+        order) the output row is also snapshotted after every word.
+        """
         n_programs = population.n_programs
         n_docs = len(packed)
         finals = np.zeros((n_programs, n_docs))
@@ -610,7 +654,7 @@ class FusedEngine:
         for start in range(0, n_docs, block):
             self._metrics["block_sweeps"].inc()
             self._sweep_block(
-                packed, plan, start, min(start + block, n_docs), finals
+                packed, plan, start, min(start + block, n_docs), finals, words
             )
         return finals
 
@@ -621,8 +665,10 @@ class FusedEngine:
         start: int,
         stop: int,
         finals: np.ndarray,
+        words: Optional[np.ndarray],
     ) -> None:
-        """Sweep packed documents ``[start, stop)`` into ``finals``.
+        """Sweep packed documents ``[start, stop)`` into ``finals``
+        (and, when given, every word's output into ``words``).
 
         Documents are sorted by decreasing length, so the block's active
         set at step ``t`` is ``[start, min(stop, active_counts[t]))`` --
@@ -685,6 +731,8 @@ class FusedEngine:
                 else:  # pragma: no cover - older numpy layouts
                     np.maximum(defs, -REGISTER_LIMIT, out=defs)
                     np.minimum(defs, REGISTER_LIMIT, out=defs)
+            if words is not None:
+                words[:, start : start + n_active, t] = live[plan.out_rows]
             # Documents ending at step t occupy a suffix of the active
             # prefix (lengths sorted descending): snapshot each
             # program's output row for them.

@@ -59,8 +59,11 @@ class Program:
         code: encoded instruction integers.
         config: engine configuration (field widths, register counts).
 
-    The decoded field arrays are cached so the vectorised evaluator can run
-    without per-call decoding.
+    The decoded field arrays are cached so the fused engine
+    (:class:`~repro.gp.engine.FusedEngine`), which evaluates every program
+    in production, packs without re-decoding.  :meth:`step` and the
+    sequence runners built on it are the reference interpreter the engine
+    is tested against.
     """
 
     __slots__ = (
@@ -171,6 +174,10 @@ class Program:
     def step(self, registers: np.ndarray, inputs: Sequence[float]) -> np.ndarray:
         """One pass of the whole program for a single input vector.
 
+        The reference semantics, one instruction at a time: production
+        evaluation goes through :class:`~repro.gp.engine.FusedEngine`,
+        which tests hold bit-identical to this.
+
         Args:
             registers: current register file (modified copy is returned).
             inputs: the current word's feature values.
@@ -220,7 +227,13 @@ class Program:
         return registers
 
     def trace_sequence(self, sequence: np.ndarray) -> np.ndarray:
-        """Output-register value after each word (the word-tracking signal)."""
+        """Output-register value after each word (the word-tracking signal).
+
+        Reference only: tracking reads traces through
+        :meth:`~repro.classify.binary.RlgpBinaryClassifier.word_values`
+        (the fused engine's per-word sweep), which tests hold
+        bit-identical to this for recurrent rules.
+        """
         registers = np.zeros(self.config.n_registers)
         trace = []
         for row in np.atleast_2d(np.asarray(sequence, dtype=float)).reshape(

@@ -24,7 +24,7 @@ Routes (a known path with the wrong method answers 405)::
     GET    /drift     drift-detector state
     GET    /rollout   live rollout report
     POST   /classify  batched classification (admission-controlled)
-    POST   /track     word-at-a-time trace (admission-controlled)
+    POST   /track     per-word trace (admission-controlled)
     POST   /reload    hot reload
     POST   /rollout   start a shadow/canary rollout
     DELETE /rollout   abort the live rollout

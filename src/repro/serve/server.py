@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from concurrent.futures import Future
 
-from repro.classify.streaming import StreamingClassifier
+from repro.classify.tracking import track_document
 from repro.corpus.document import Document
 from repro.errors import PersistenceError
 from repro.runtime.events import EventBus
@@ -208,10 +208,16 @@ class InferenceService:
     def track(
         self, text: str, category: str, model: Optional[str] = None
     ) -> dict:
-        """Word-at-a-time trace of one category's classifier over ``text``.
+        """Per-word trace of one category's classifier over ``text``.
 
-        Reuses the streaming classifier (paper Sec. 7.2 deployment mode):
-        registers carry across words, one state per encoded word.
+        The paper's word tracking (Sec. 8.2) as a service: one state per
+        encoded word, read by :func:`~repro.classify.tracking.track_document`
+        the way ``/classify`` reads a text, so the last state's ``value``
+        is the text's decision value -- unless the model caps sequences
+        (``max_sequence_length``), which ``/classify`` applies and this
+        trace does not.  ``position`` indexes the feature-selected words
+        (``words_seen`` of them), and ``in_class`` is False when no word
+        is encoded.
         """
         entry = self.registry.get(model)
         pipeline = entry.pipeline
@@ -221,26 +227,24 @@ class InferenceService:
             )
         tokens = pipeline.tokenized.preprocessor.tokens(text)
         words = pipeline.feature_set.filter_tokens(tokens, category)
-        stream = StreamingClassifier(
-            pipeline.suite.classifiers[category],
-            pipeline.encoder.encoder_for(category),
+        classifier = pipeline.suite.classifiers[category]
+        trace = track_document(
+            classifier, pipeline.encoder.encoder_for(category).encode(0, words)
         )
-        states = stream.push_many(words)
+        flags = trace.in_class_flags.tolist()
         return {
             "model": entry.name,
             "category": category,
-            "threshold": stream.classifier.threshold,
-            "words_seen": stream.words_seen,
-            "words_encoded": stream.words_encoded,
-            "in_class": stream.in_class if states else False,
+            "threshold": classifier.threshold,
+            "words_seen": len(words),
+            "words_encoded": len(trace),
+            "in_class": flags[-1] if flags else False,
             "states": [
-                {
-                    "word": state.word,
-                    "position": state.position,
-                    "value": state.value,
-                    "in_class": state.in_class,
-                }
-                for state in states
+                {"word": word, "position": position, "value": value,
+                 "in_class": flag}
+                for word, position, value, flag in zip(
+                    trace.words, trace.positions, trace.squashed.tolist(), flags
+                )
             ],
         }
 

@@ -23,7 +23,6 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.classify.tracking import TrackingTrace, track_multi_label
 from repro.corpus.document import Document
 from repro.pipeline import ProSysPipeline
 
@@ -77,23 +76,14 @@ class TopicTracker:
             length ``n_tokens``: 1.0 where that category's classifier read
             in class at (or, carried forward, after) an encoded word.
         """
-        tokens = self.pipeline.tokenized.tokens(doc)
-        n_tokens = len(tokens)
-        encoded = {
-            category: self.pipeline.encoder.encode_document(
-                doc, self.pipeline.tokenized, self.pipeline.feature_set, category
-            )
-            for category in self.pipeline.suite.categories
-        }
-        traces = track_multi_label(self.pipeline.suite.classifiers, encoded)
-
+        n_tokens = len(self.pipeline.tokenized.tokens(doc))
         signals: Dict[str, np.ndarray] = {}
-        for category, trace in traces.items():
+        for category, trace in self.pipeline.track_all(doc).items():
             signal = np.zeros(max(n_tokens, 1))
-            positions = encoded[category].positions
-            # Carry each decision forward until the next encoded word: the
-            # register holds its state between inputs, so the decision is
-            # defined over the whole gap.
+            positions = trace.positions
+            # Carry each decision forward until the next encoded word: a
+            # dropped token never reaches the rule, so the reading after
+            # the last encoded word stands over the whole gap.
             for index in range(len(trace)):
                 start = positions[index]
                 end = positions[index + 1] if index + 1 < len(trace) else n_tokens

@@ -5,6 +5,7 @@ import pytest
 
 from repro.classify.binary import RlgpBinaryClassifier
 from repro.classify.threshold import median_threshold
+from repro.classify.tracking import track_document
 from repro.gp.fitness import balanced_sse, squash_output
 from repro.gp.trainer import RlgpTrainer
 
@@ -66,8 +67,8 @@ def test_category_recorded(classifier):
 
 def test_non_recurrent_rule_is_read_as_evolved(earn_train, small_config):
     """Evolution scored a ``recurrent=False`` rule on each document's
-    final word; its decision values and Eq. 6 threshold must read the
-    documents the same way, not recurrently."""
+    final word; its decision values, Eq. 6 threshold and per-word traces
+    must read the documents the same way, not recurrently."""
     classifier = RlgpBinaryClassifier.fit(
         earn_train,
         RlgpTrainer(small_config, recurrent=False),
@@ -83,3 +84,12 @@ def test_non_recurrent_rule_is_read_as_evolved(earn_train, small_config):
     assert np.array_equal(values, reference)
     assert classifier.threshold == median_threshold(reference, earn_train.labels)
     assert classifier.train_fitness == balanced_sse(earn_train.labels, reference)
+    for document, value in zip(earn_train.documents, values):
+        trace = track_document(classifier, document)
+        sequence = document.sequence
+        assert np.array_equal(trace.raw, [
+            classifier.program.run_sequence(sequence[t : t + 1])[output]
+            for t in range(len(sequence))
+        ])
+        if len(sequence):
+            assert trace.squashed[-1] == value

@@ -1,11 +1,16 @@
 """Unit tests for word tracking (paper Sec. 8.2, Figs. 5-6)."""
 
+from random import Random
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.classify.binary import RlgpBinaryClassifier
 from repro.classify.tracking import TrackingTrace, track_document, track_multi_label
 from repro.encoding.representation import EncodedDocument
+from repro.gp import engine as engine_module
 from repro.gp.config import GpConfig
 from repro.gp.fitness import squash_output
 from repro.gp.instructions import MODE_EXTERNAL, OP_ADD, OP_SUB, encode_instruction
@@ -32,6 +37,68 @@ def _encoded(values, category="earn"):
         words=tuple(f"w{i}" for i in range(len(values))),
         units=tuple(0 for _ in values),
     )
+
+
+def _document(sequence):
+    return EncodedDocument(
+        doc_id=1,
+        category="earn",
+        sequence=sequence,
+        words=tuple(f"w{i}" for i in range(len(sequence))),
+        units=tuple(0 for _ in range(len(sequence))),
+        positions=tuple(range(3, 3 + 2 * len(sequence), 2)),
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    program_seed=st.integers(0, 10**6),
+    data_seed=st.integers(0, 10**6),
+    n_docs=st.integers(1, 150),
+    recurrent=st.booleans(),
+)
+@example(program_seed=1, data_seed=2, n_docs=150, recurrent=True)
+@example(program_seed=1, data_seed=2, n_docs=150, recurrent=False)
+def test_word_trace_is_the_rules_reading(
+    program_seed, data_seed, n_docs, recurrent
+):
+    """Per-word values are the rule read after every word the way
+    ``decision_values`` reads it after the last: a recurrent rule's
+    register trace, a non-recurrent rule's reading of each word alone.
+    Bit for bit against the interpreter, over empty, one-word and ragged
+    documents, with the sweep forced across document blocks."""
+    program = Program.random(Random(program_seed), CONFIG, page_size=1)
+    classifier = RlgpBinaryClassifier(
+        category="earn", program=program, config=CONFIG, threshold=0.0,
+        recurrent=recurrent,
+    )
+    rng = Random(data_seed)
+    sequences = [
+        np.array(
+            [[rng.random(), rng.random()]
+             for _ in range(rng.choice([0, 1, rng.randrange(2, 9)]))]
+        ).reshape(-1, 2)
+        for _ in range(n_docs)
+    ]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine_module, "_BLOCK_BYTES", 1)  # 64-document blocks
+        batch = classifier.word_values(sequences)
+    assert len(batch) == n_docs
+    out = CONFIG.output_register
+    for sequence, values in zip(sequences, batch):
+        if recurrent:
+            expected = program.trace_sequence(sequence)
+        else:
+            expected = np.array([
+                program.run_sequence(sequence[t : t + 1])[out]
+                for t in range(len(sequence))
+            ])
+        trace = track_document(classifier, _document(sequence))
+        assert np.array_equal(values, expected)
+        assert np.array_equal(trace.raw, expected)
+        assert trace.positions == _document(sequence).positions
+        if len(sequence):
+            assert trace.squashed[-1] == classifier.decision_values([sequence])[0]
 
 
 def test_trace_aligned_with_words():

@@ -160,6 +160,18 @@ def test_multi_block_sweeps_match_one_block(monkeypatch):
     assert np.array_equal(blocked, expected)
     for i, program in enumerate(programs):
         assert np.array_equal(blocked[i], EVALUATOR.outputs(program, packed))
+    # The per-word mode crosses the same blocks: every row (a duplicate
+    # included, served by dedup) is the reference trace of its program
+    # over each document, in the caller's order, ending on its output.
+    traced = programs + programs[:1]
+    traces = _engine().word_outputs(traced, packed)
+    assert len(traces) == len(traced)
+    for program, row, finals in zip(traced, traces, list(expected) + [expected[0]]):
+        assert len(row) == len(sequences)
+        for sequence, trace, final in zip(sequences, row, finals):
+            assert np.array_equal(trace, program.trace_sequence(sequence))
+            if len(sequence):
+                assert trace[-1] == final
 
 
 def test_fused_handles_empty_sequences():
@@ -307,6 +319,13 @@ def test_engine_counters_tick():
     assert snap["engine_documents_evaluated_total"] == 10
     total_effective = sum(len(p.effective_fields()[0]) for p in programs)
     assert snap["engine_instructions_executed_total"] == total_effective * 4
+    # Per-word traces are the same sweep and count the same work.
+    engine.word_outputs(programs, packed)
+    snap = registry.snapshot()
+    assert snap["engine_batches_total"] == 2
+    assert snap["engine_programs_evaluated_total"] == 10
+    assert snap["engine_documents_evaluated_total"] == 20
+    assert snap["engine_instructions_executed_total"] == total_effective * 8
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 import pytest
 
 from repro import GpConfig, ProSysConfig, ProSysPipeline, make_corpus
-from repro.persistence import save_pipeline
+from repro.persistence import load_pipeline, save_pipeline
 
 SERVE_CATEGORIES = ("earn", "grain")
 
@@ -36,3 +36,14 @@ def model_dir(fitted_pipeline, tmp_path_factory):
     directory = tmp_path_factory.mktemp("served-model")
     save_pipeline(fitted_pipeline, directory)
     return directory
+
+
+@pytest.fixture(scope="package")
+def non_recurrent_pipeline(serve_corpus, model_dir):
+    """The served model with every rule marked non-recurrent, so each
+    classifier reads a document by its final word alone (tests register
+    it under a name of their own and unregister it afterwards)."""
+    pipeline = load_pipeline(model_dir, serve_corpus)
+    for classifier in pipeline.suite.classifiers.values():
+        classifier.recurrent = False
+    return pipeline

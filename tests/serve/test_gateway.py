@@ -104,13 +104,27 @@ def test_healthz_models_metrics_drift(gateway):
     assert status == 200
 
 
-def test_track_round_trip(gateway, serve_corpus):
-    doc = serve_corpus.test_for("grain")[0]
-    status, body, _ = _request(gateway, "POST", "/track", {
-        "text": doc.text, "category": "grain",
-    })
-    assert status == 200
-    assert json.loads(body)["category"] == "grain"
+def test_track_round_trip(gateway, registry, serve_corpus, non_recurrent_pipeline):
+    """/track ends on the decision value /classify reports for the same
+    text, for the recurrent model and a non-recurrent one alike."""
+    registry.add_pipeline("flat", non_recurrent_pipeline)
+    try:
+        for model in ("default", "flat"):
+            for doc in serve_corpus.test_for("grain")[:4]:
+                status, body, _ = _request(gateway, "POST", "/track", {
+                    "text": doc.text, "category": "grain", "model": model,
+                })
+                assert status == 200
+                payload = json.loads(body)
+                assert payload["category"] == "grain"
+                status, body, _ = _request(gateway, "POST", "/classify", {
+                    "documents": [{"text": doc.text}], "model": model,
+                })
+                assert status == 200
+                decision = json.loads(body)["results"][0]["decision_values"]
+                assert payload["states"][-1]["value"] == decision["grain"]
+    finally:
+        registry.unregister("flat")
 
 
 def test_keep_alive_serves_multiple_requests_per_connection(gateway):

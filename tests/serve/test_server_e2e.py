@@ -13,7 +13,9 @@ import urllib.request
 import numpy as np
 import pytest
 
+from repro.gp.fitness import squash_output
 from repro.serve import GatewayServer, InferenceService, ModelRegistry
+from repro.serve.server import document_from_payload
 
 
 @pytest.fixture(scope="module")
@@ -99,14 +101,49 @@ def test_unknown_model_raises(service, serve_corpus):
         service.classify(list(serve_corpus.test_documents)[:1], model="nope")
 
 
-def test_track_reports_stream_states(service, serve_corpus):
-    doc = serve_corpus.test_for("grain")[0]
-    trace = service.track(doc.text, "grain")
-    assert trace["category"] == "grain"
-    assert trace["words_seen"] > 0
-    assert trace["words_encoded"] == len(trace["states"])
-    for state in trace["states"]:
-        assert set(state) == {"word", "position", "value", "in_class"}
+def test_track_reports_stream_states(service, serve_corpus, non_recurrent_pipeline):
+    """One state per encoded word, read the way /classify reads the text:
+    the states equal the interpreter's register trace over
+    ``CategoryEncoder.encode`` of the feature-selected words, and the last
+    value is the decision value -- for a non-recurrent model too."""
+    pipeline = service.registry.get().pipeline
+    classifier = pipeline.suite.classifiers["grain"]
+    for doc in serve_corpus.test_for("grain")[:4]:
+        trace = service.track(doc.text, "grain")
+        tokens = pipeline.tokenized.preprocessor.tokens(doc.text)
+        words = pipeline.feature_set.filter_tokens(tokens, "grain")
+        encoded = pipeline.encoder.encoder_for("grain").encode(0, words)
+        raw = classifier.program.trace_sequence(encoded.sequence)
+        assert trace["category"] == "grain"
+        assert trace["threshold"] == classifier.threshold
+        assert trace["words_seen"] == len(words) > 0
+        assert trace["words_encoded"] == len(encoded) == len(trace["states"])
+        assert [
+            (state["word"], state["position"], state["value"])
+            for state in trace["states"]
+        ] == [
+            (word, position, float(squash_output(np.array([value]))[0]))
+            for word, position, value in zip(encoded.words, encoded.positions, raw)
+        ]
+        for state in trace["states"]:
+            assert set(state) == {"word", "position", "value", "in_class"}
+            assert type(state["value"]) is float
+            assert state["in_class"] is (state["value"] > classifier.threshold)
+        assert trace["in_class"] is trace["states"][-1]["in_class"]
+    empty = service.track("", "grain")
+    assert (empty["words_seen"], empty["words_encoded"], empty["states"]) == (0, 0, [])
+    assert empty["in_class"] is False
+    service.registry.add_pipeline("flat", non_recurrent_pipeline)
+    try:
+        for model in ("default", "flat"):
+            for doc in serve_corpus.test_for("grain")[:4]:
+                states = service.track(doc.text, "grain", model=model)["states"]
+                [result] = service.classify(
+                    [document_from_payload({"text": doc.text})], model=model
+                )
+                assert states[-1]["value"] == result["decision_values"]["grain"]
+    finally:
+        service.registry.unregister("flat")
 
 
 def test_track_unknown_category_raises(service):
@@ -159,13 +196,27 @@ def test_http_classify_text_only_payload(http_server):
     assert len(payload["results"]) == 1
 
 
-def test_http_track(http_server, serve_corpus):
-    doc = serve_corpus.test_for("grain")[0]
-    status, payload = _post(
-        f"{http_server}/track", {"text": doc.text, "category": "grain"}
-    )
-    assert status == 200
-    assert payload["category"] == "grain"
+def test_http_track(http_server, service, serve_corpus, non_recurrent_pipeline):
+    """Over HTTP the trace is the service's, and its last value is the
+    decision value /classify returns for the same text -- from the worker
+    pool, for the recurrent model and a non-recurrent one alike."""
+    service.registry.add_pipeline("flat", non_recurrent_pipeline)
+    try:
+        for model in ("default", "flat"):
+            for doc in serve_corpus.test_for("grain")[:4]:
+                status, payload = _post(f"{http_server}/track", {
+                    "text": doc.text, "category": "grain", "model": model,
+                })
+                assert status == 200
+                assert payload == service.track(doc.text, "grain", model=model)
+                status, classified = _post(f"{http_server}/classify", {
+                    "documents": [{"text": doc.text}], "model": model,
+                })
+                assert status == 200
+                assert payload["states"][-1]["value"] == \
+                    classified["results"][0]["decision_values"]["grain"]
+    finally:
+        service.registry.unregister("flat")
 
 
 def test_http_reload_noop(http_server):
