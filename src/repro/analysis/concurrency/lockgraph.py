@@ -9,8 +9,8 @@ composition auditable:
 1. **Lock registry** -- every ``self._x = threading.Lock()`` (or RLock /
    Condition) attribute, every module-level lock, and every lock-factory
    method (one returning ``threading.Lock()`` instances, e.g. a per-key
-   lock table) becomes a named lock: ``WorkerPool._lock``,
-   ``store._ATTACH_LOCK``, ``DatasetStore._write_lock()``.
+   lock table) becomes a named lock: ``WorkerPool._lock``, a module
+   global as ``module._LOCK``, ``DatasetStore._write_lock()``.
 2. **Function summaries** -- each function is walked once, tracking the
    set of locks lexically held (``with self._lock:`` scopes), the calls
    made while holding them, and the *effects* reached: process forks
@@ -82,7 +82,7 @@ _BLOCKING_ATTRS = {"result", "join", "wait"}
 class LockInfo:
     """One named lock in the tree."""
 
-    lock_id: str  #: e.g. ``"WorkerPool._lock"`` or ``"store._ATTACH_LOCK"``
+    lock_id: str  #: e.g. ``"WorkerPool._lock"`` or ``"module._LOCK"``
     kind: str  #: Lock | RLock | Condition | factory kind
     reentrant: bool
     path: str  #: posix path of the defining module

@@ -2,16 +2,18 @@
 
 ``multiprocessing.shared_memory`` segments are kernel objects: a
 segment created with ``create=True`` and never ``unlink()``-ed outlives
-the process in ``/dev/shm`` until a reboot.  The serving handoff creates
-one per batch, so a single missed ``release()`` path leaks at request
-rate.  ``install()`` swaps the ``SharedMemory`` class for a tracking
-subclass; :func:`leaked_segments` names everything still unlinked —
-the pytest plugin turns a non-empty answer at session end into
-``shm_leak`` violations.
+the process in ``/dev/shm`` until a reboot.  Serving creates none (a
+worker job is one queue message), so any segment a run leaves behind
+is a leak from code that should not be making them.  ``install()``
+swaps the ``SharedMemory`` class for a tracking subclass;
+:func:`leaked_segments` names everything still unlinked — the pytest
+plugin turns a non-empty answer at session end into ``shm_leak``
+violations.
 
-Memmaps are censused but never flagged: the attach cache holds them
-open by design, so "still open at exit" is normal.  The count lands in
-the JSON report for eyeballing trends.
+Memmaps are censused but never flagged: stored datasets (and the
+serving LRU warmed from them) hold them open by design, so "still open
+at exit" is normal.  The count lands in the JSON report for eyeballing
+trends.
 """
 
 from __future__ import annotations

@@ -20,6 +20,11 @@ index damage) is surfaced as a
 :class:`~repro.errors.PersistenceError`, counted, the damaged dataset
 discarded, and the caller transparently falls back to re-encoding.
 
+Serving reads the store in its own process only: ``serve --store``
+warms the encoded-sequence LRU from a model's serve-miss dataset and
+writes misses back, and worker processes receive the sequences inside
+their job messages, never a store reference.
+
 Observability: hit/miss/corruption/shard/byte counters live on a
 :class:`~repro.serve.metrics.MetricsRegistry` -- by default the shared
 process-wide registry that ``repro.serve`` merges into ``/metrics`` --
@@ -160,75 +165,6 @@ def dataset_path(root: Union[str, Path], key: str) -> Path:
     return Path(root) / key[:2] / key
 
 
-def open_sealed(
-    root: Union[str, Path], key: str, verify: bool = True
-) -> StoredDataset:
-    """Open one sealed dataset by address, with no store construction.
-
-    The pure read path of :meth:`DatasetStore.open`: no tmp sweep, no
-    counters, no events -- safe to call from worker processes that must
-    not disturb a live store directory (sweeping ``tmp/`` from a worker
-    would yank in-flight writers out from under the parent).
-
-    Raises:
-        PersistenceError: unsealed/missing dataset, malformed index,
-            truncated or corrupt shard -- always naming the path.
-    """
-    directory = dataset_path(root, key)
-    if not (directory / COMPLETE_MARKER).exists():
-        raise PersistenceError(f"no sealed dataset {key} in {root}")
-    payload = _read_index_payload(directory)
-    if payload.get("key") not in (None, key):
-        raise PersistenceError(
-            f"{directory / DATASET_INDEX}: index is for key "
-            f"{payload.get('key')!r}, not {key!r}"
-        )
-    source = str(directory / DATASET_INDEX)
-    shards_payload = payload.get("shards")
-    if not isinstance(shards_payload, list):
-        raise PersistenceError(f"{source}: 'shards' must be a list")
-    metas = [ShardMeta.from_payload(entry, source) for entry in shards_payload]
-    packed = [open_shard(directory, meta, verify=verify) for meta in metas]
-    return StoredDataset(key, directory, payload, metas, packed)
-
-
-#: Process-local attach cache: (resolved root, key) -> StoredDataset.
-_ATTACH_CACHE: Dict[Tuple[str, str], StoredDataset] = {}  # guarded by _ATTACH_LOCK
-_ATTACH_LOCK = threading.Lock()
-
-
-def attach_dataset(
-    root: Union[str, Path], key: str, verify: bool = True,
-    refresh: bool = False,
-) -> StoredDataset:
-    """Attach to a sealed dataset by content address, memoized per process.
-
-    This is the zero-copy worker handoff: instead of pickling encoded
-    sequences over a pipe, the parent ships ``(store root, address,
-    row)`` and the worker memory-maps the very same shard files.  The
-    attach is cached, so a worker touching the same dataset across many
-    batches opens (and optionally checksums) it exactly once; the kernel
-    shares the mapped pages across every attached process.
-
-    ``refresh`` bypasses and replaces the cached attach -- used when a
-    row index outruns the cached view because the dataset was extended
-    (incremental ingest adopts existing shards in order, so row indices
-    are stable across extensions; only *new* rows need the re-attach).
-    """
-    cache_key = (str(Path(root).resolve()), key)
-    if not refresh:
-        with _ATTACH_LOCK:
-            stored = _ATTACH_CACHE.get(cache_key)
-        if stored is not None:
-            return stored
-    stored = open_sealed(root, key, verify=verify)
-    with _ATTACH_LOCK:
-        if refresh:
-            _ATTACH_CACHE[cache_key] = stored
-            return stored
-        return _ATTACH_CACHE.setdefault(cache_key, stored)
-
-
 def _read_index_payload(directory: Path) -> dict:
     index_path = directory / DATASET_INDEX
     if not index_path.exists():
@@ -355,7 +291,22 @@ class DatasetStore:
         """
         verify = self.verify_checksums if verify is None else verify
         start = time.perf_counter()
-        stored = open_sealed(self.root, key, verify=verify)
+        directory = self.path_for(key)
+        if not (directory / COMPLETE_MARKER).exists():
+            raise PersistenceError(f"no sealed dataset {key} in {self.root}")
+        payload = _read_index_payload(directory)
+        source = str(directory / DATASET_INDEX)
+        if payload.get("key") not in (None, key):
+            raise PersistenceError(
+                f"{source}: index is for key {payload.get('key')!r}, "
+                f"not {key!r}"
+            )
+        shards_payload = payload.get("shards")
+        if not isinstance(shards_payload, list):
+            raise PersistenceError(f"{source}: 'shards' must be a list")
+        metas = [ShardMeta.from_payload(entry, source) for entry in shards_payload]
+        packed = [open_shard(directory, meta, verify=verify) for meta in metas]
+        stored = StoredDataset(key, directory, payload, metas, packed)
         self._count("shards_read", len(stored.shard_metas))
         self._count("mmap_bytes", stored.nbytes)
         self._load_seconds.observe(time.perf_counter() - start)

@@ -1,7 +1,9 @@
 """Cached tokenisation of a whole corpus.
 
 Feature selection, SOM training and classification all need the ordered
-token lists of every document; this wrapper computes them once.
+token lists of every document; this wrapper computes them once.  Only
+the wrapped corpus's own documents are cached: a new document is read
+from its own text, whatever its id.
 """
 
 from __future__ import annotations
@@ -29,8 +31,20 @@ class TokenizedCorpus:
     _cache: Dict[int, List[str]] = field(default_factory=dict, repr=False)
     _fingerprints: Dict[str, str] = field(default_factory=dict, repr=False)
 
+    def __post_init__(self) -> None:
+        self._members: Dict[int, Document] = {
+            doc.doc_id: doc for doc in self.corpus.documents
+        }
+
     def tokens(self, doc: Document) -> List[str]:
-        """Ordered tokens of ``doc`` (cached by doc_id)."""
+        """Ordered tokens of ``doc``.
+
+        A document of the wrapped corpus is tokenized once and cached by
+        doc_id.  Any other document -- a new one may reuse a corpus
+        document's id -- is tokenized from its own text and not cached.
+        """
+        if self._members.get(doc.doc_id) is not doc:
+            return self.preprocessor.document_tokens(doc)
         cached = self._cache.get(doc.doc_id)
         if cached is None:
             cached = self.preprocessor.document_tokens(doc)

@@ -22,8 +22,8 @@ Components: :mod:`~repro.serve.registry` (named models + hot reload),
 :mod:`~repro.serve.batcher` (micro-batching that dispatches whatever is
 queued the moment it is free),
 :mod:`~repro.serve.workers` (crash-supervised process pool, one job per
-worker over a group of categories, zero-copy store/shared-memory dataset
-handoff),
+worker over a group of categories, each job one message on its worker's
+own queue carrying its sequences as one float64 block),
 :mod:`~repro.serve.cache` (encoded-sequence LRU),
 :mod:`~repro.serve.metrics` (counters/gauges/histograms),
 :mod:`~repro.serve.admission` (queues, shedding, rate limits),
@@ -48,7 +48,6 @@ from repro.serve.server import InferenceService, document_from_payload
 from repro.serve.workers import (
     CRASH_CATEGORY,
     PoolClosed,
-    SequenceRef,
     WorkerCrash,
     WorkerPool,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "document_from_payload",
     "CRASH_CATEGORY",
     "PoolClosed",
-    "SequenceRef",
     "WorkerCrash",
     "WorkerPool",
 ]

@@ -36,7 +36,7 @@ from repro.gp.engine import shared_metrics
 from repro.serve.metrics import MetricsRegistry, render_snapshot
 from repro.serve.registry import ModelRegistry
 from repro.serve.rollout import RolloutConfig, RolloutManager
-from repro.serve.workers import SequenceRef, WorkerPool
+from repro.serve.workers import WorkerPool
 
 
 def document_from_payload(payload: dict, fallback_id: int = 0) -> Document:
@@ -212,12 +212,11 @@ class InferenceService:
 
         The paper's word tracking (Sec. 8.2) as a service: one state per
         encoded word, read by :func:`~repro.classify.tracking.track_document`
-        the way ``/classify`` reads a text, so the last state's ``value``
-        is the text's decision value -- unless the model caps sequences
-        (``max_sequence_length``), which ``/classify`` applies and this
-        trace does not.  ``position`` indexes the feature-selected words
-        (``words_seen`` of them), and ``in_class`` is False when no word
-        is encoded.
+        the way ``/classify`` reads a text (cut at the model's
+        ``max_sequence_length`` too), so the last state's ``value`` is
+        the text's decision value.  ``position`` indexes the
+        feature-selected words (``words_seen`` of them), and
+        ``in_class`` is False when no word is encoded.
         """
         entry = self.registry.get(model)
         pipeline = entry.pipeline
@@ -229,7 +228,10 @@ class InferenceService:
         words = pipeline.feature_set.filter_tokens(tokens, category)
         classifier = pipeline.suite.classifiers[category]
         trace = track_document(
-            classifier, pipeline.encoder.encoder_for(category).encode(0, words)
+            classifier,
+            pipeline.encoder.encoder_for(category).encode(
+                0, words, max_words=pipeline.encoder.max_sequence_length
+            ),
         )
         flags = trace.in_class_flags.tolist()
         return {
@@ -268,7 +270,10 @@ class InferenceService:
         (see :func:`repro.data.fingerprint.serve_miss_address`), so a
         restarted service warms from exactly the traffic this encoder
         saw, while a retrained model misses cleanly and starts fresh.
-        Returns the number of cache entries inserted.
+        The cached values are the stored sequences themselves (memmap
+        views of the sealed shards); a job ships them to workers like
+        any freshly encoded sequence.  Returns the number of cache
+        entries inserted.
         """
         if self.data_store is None:
             return 0
@@ -291,16 +296,10 @@ class InferenceService:
                 # Transient read failure (EMFILE, permissions, ...):
                 # skip warming but keep the accumulated history.
                 continue
-            # Warm with provenance: the sequence is row N of a sealed
-            # store dataset, so the worker pool can ship (address, row)
-            # instead of the array -- zero-copy all the way across.
             warmed += self.cache.warm(
-                (
-                    sequence_key(model_key, category, fingerprint),
-                    SequenceRef(sequence, address=stored.key, row=row),
-                )
-                for row, (fingerprint, sequence) in enumerate(
-                    zip(stored.fingerprints, stored.sequences)
+                (sequence_key(model_key, category, fingerprint), sequence)
+                for fingerprint, sequence in zip(
+                    stored.fingerprints, stored.sequences
                 )
                 if fingerprint
             )
@@ -683,11 +682,6 @@ class InferenceService:
             entry.pipeline.suite.classifiers,
             n_workers=self.n_workers,
             metrics=self.metrics,
-            store_root=(
-                self.data_store.root
-                if self.data_store is not None
-                else None
-            ),
         )
         with self._pools_lock:
             current = self._pools.get(entry.name)

@@ -1,4 +1,5 @@
-"""Module-level store read path: open_sealed and the memoized attach."""
+"""The store read path from a reader's side: a second ``DatasetStore``
+on the same root opens what another one sealed, and nothing else."""
 
 from __future__ import annotations
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.data import DatasetStore
-from repro.data.store import attach_dataset, dataset_path, open_sealed
+from repro.data.store import dataset_path
 from repro.errors import PersistenceError
 from repro.serve.metrics import MetricsRegistry
 
@@ -14,6 +15,11 @@ from repro.serve.metrics import MetricsRegistry
 @pytest.fixture()
 def store(tmp_path):
     return DatasetStore(tmp_path / "store", metrics=MetricsRegistry())
+
+
+def _reader(store):
+    """A store constructed later on the same root (its tmp sweep included)."""
+    return DatasetStore(store.root, metrics=MetricsRegistry())
 
 
 def _items(n, offset=0):
@@ -33,41 +39,19 @@ def test_dataset_path_validates_keys(tmp_path):
 
 def test_open_sealed_matches_store_open(store):
     key = "beef0sealed"
-    store.ingest(key, _items(3))
-    via_store = store.open(key)
-    via_module = open_sealed(store.root, key)
-    assert len(via_module) == len(via_store) == 3
-    for ours, theirs in zip(via_module.sequences, via_store.sequences):
+    items = _items(3)
+    store.ingest(key, items)
+    via_writer = store.open(key)
+    via_reader = _reader(store).open(key)
+    assert len(via_reader) == len(via_writer) == 3
+    for (_, _, sequence, _), ours, theirs in zip(
+        items, via_reader.sequences, via_writer.sequences
+    ):
         np.testing.assert_array_equal(ours, theirs)
+        np.testing.assert_array_equal(ours, sequence)
 
 
 def test_open_sealed_refuses_missing_dataset(store):
+    store.ingest("beef0sealed", _items(2))
     with pytest.raises(PersistenceError, match="no sealed dataset"):
-        open_sealed(store.root, "beef1absent")
-
-
-def test_attach_is_memoized_per_root_and_key(store):
-    key = "beef2cached"
-    store.ingest(key, _items(2))
-    first = attach_dataset(store.root, key)
-    second = attach_dataset(store.root, key)
-    assert first is second
-
-
-def test_refresh_picks_up_incremental_ingest(store):
-    """Row indices are stable across extension (adopted shards keep
-    their order), so a stale attach only needs refreshing when a row
-    index outruns it."""
-    key = "beef3growing"
-    store.ingest(key, _items(2))
-    stale = attach_dataset(store.root, key)
-    assert len(stale) == 2
-    store.ingest(key, _items(2, offset=2))
-    assert attach_dataset(store.root, key) is stale  # memo still serves
-    fresh = attach_dataset(store.root, key, refresh=True)
-    assert len(fresh) == 4
-    for row in range(2):  # old rows kept their indices
-        np.testing.assert_array_equal(
-            fresh.sequences[row], stale.sequences[row]
-        )
-    assert attach_dataset(store.root, key) is fresh  # cache replaced
+        _reader(store).open("beef1absent")

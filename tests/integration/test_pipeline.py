@@ -1,5 +1,7 @@
 """End-to-end tests of the ProSys pipeline."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,28 @@ def test_multi_label_document_tracked_by_both(fitted, corpus):
     doc = multi[0] if multi else corpus.test_for("grain")[0]
     traces = fitted.track_all(doc)
     assert all(isinstance(t, TrackingTrace) for t in traces.values())
+
+
+def test_new_document_is_read_from_its_own_text(fitted, corpus):
+    """A new document reusing a corpus document's id scores and tracks
+    exactly like the same text under an id no corpus document has."""
+    taken = corpus.train_for("earn")[0]
+    text = corpus.test_for("grain")[0]
+    unused = max(doc.doc_id for doc in corpus.documents) + 1
+    reused = replace(text, doc_id=taken.doc_id)
+    fresh = replace(text, doc_id=unused)
+    assert fitted.tokenized.tokens(reused) != fitted.tokenized.tokens(taken)
+
+    reused_values = fitted.decision_matrix([reused])
+    fresh_values = fitted.decision_matrix([fresh])
+    for category in ("earn", "grain"):
+        assert np.array_equal(reused_values[category], fresh_values[category])
+    assert fitted.predict_topics(reused) == fitted.predict_topics(fresh)
+    reused_traces = fitted.track_all(reused)
+    for category, trace in fitted.track_all(fresh).items():
+        assert reused_traces[category].words == trace.words
+        assert reused_traces[category].positions == trace.positions
+        assert np.array_equal(reused_traces[category].raw, trace.raw)
 
 
 def test_default_config_feature_counts():

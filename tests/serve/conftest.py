@@ -47,3 +47,14 @@ def non_recurrent_pipeline(serve_corpus, model_dir):
     for classifier in pipeline.suite.classifiers.values():
         classifier.recurrent = False
     return pipeline
+
+
+@pytest.fixture(scope="package")
+def capped_pipeline(serve_corpus, model_dir):
+    """The served model with encoded sequences cut at two words
+    (``max_sequence_length``), shorter than most test texts' encodings,
+    so a long text is read by its first words only (tests register it
+    under a name of their own and unregister it afterwards)."""
+    pipeline = load_pipeline(model_dir, serve_corpus)
+    pipeline.encoder.max_sequence_length = 2
+    return pipeline

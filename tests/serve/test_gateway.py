@@ -104,12 +104,16 @@ def test_healthz_models_metrics_drift(gateway):
     assert status == 200
 
 
-def test_track_round_trip(gateway, registry, serve_corpus, non_recurrent_pipeline):
+def test_track_round_trip(
+    gateway, registry, serve_corpus, non_recurrent_pipeline, capped_pipeline
+):
     """/track ends on the decision value /classify reports for the same
-    text, for the recurrent model and a non-recurrent one alike."""
+    text, for the recurrent model, a non-recurrent one and a capped one
+    alike."""
     registry.add_pipeline("flat", non_recurrent_pipeline)
+    registry.add_pipeline("capped", capped_pipeline)
     try:
-        for model in ("default", "flat"):
+        for model in ("default", "flat", "capped"):
             for doc in serve_corpus.test_for("grain")[:4]:
                 status, body, _ = _request(gateway, "POST", "/track", {
                     "text": doc.text, "category": "grain", "model": model,
@@ -123,8 +127,12 @@ def test_track_round_trip(gateway, registry, serve_corpus, non_recurrent_pipelin
                 assert status == 200
                 decision = json.loads(body)["results"][0]["decision_values"]
                 assert payload["states"][-1]["value"] == decision["grain"]
+                if model == "capped":
+                    assert payload["words_encoded"] <= \
+                        capped_pipeline.encoder.max_sequence_length
     finally:
         registry.unregister("flat")
+        registry.unregister("capped")
 
 
 def test_keep_alive_serves_multiple_requests_per_connection(gateway):

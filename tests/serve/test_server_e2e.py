@@ -101,11 +101,14 @@ def test_unknown_model_raises(service, serve_corpus):
         service.classify(list(serve_corpus.test_documents)[:1], model="nope")
 
 
-def test_track_reports_stream_states(service, serve_corpus, non_recurrent_pipeline):
+def test_track_reports_stream_states(
+    service, serve_corpus, non_recurrent_pipeline, capped_pipeline
+):
     """One state per encoded word, read the way /classify reads the text:
     the states equal the interpreter's register trace over
     ``CategoryEncoder.encode`` of the feature-selected words, and the last
-    value is the decision value -- for a non-recurrent model too."""
+    value is the decision value -- for a non-recurrent model, and for a
+    capped one on texts longer than its cap."""
     pipeline = service.registry.get().pipeline
     classifier = pipeline.suite.classifiers["grain"]
     for doc in serve_corpus.test_for("grain")[:4]:
@@ -134,16 +137,26 @@ def test_track_reports_stream_states(service, serve_corpus, non_recurrent_pipeli
     assert (empty["words_seen"], empty["words_encoded"], empty["states"]) == (0, 0, [])
     assert empty["in_class"] is False
     service.registry.add_pipeline("flat", non_recurrent_pipeline)
+    service.registry.add_pipeline("capped", capped_pipeline)
     try:
-        for model in ("default", "flat"):
+        for model in ("default", "flat", "capped"):
             for doc in serve_corpus.test_for("grain")[:4]:
                 states = service.track(doc.text, "grain", model=model)["states"]
                 [result] = service.classify(
                     [document_from_payload({"text": doc.text})], model=model
                 )
                 assert states[-1]["value"] == result["decision_values"]["grain"]
+        cap = capped_pipeline.encoder.max_sequence_length
+        long_texts = 0
+        for doc in serve_corpus.test_for("grain"):
+            trace = service.track(doc.text, "grain", model="capped")
+            assert trace["words_encoded"] <= cap
+            if service.track(doc.text, "grain")["words_encoded"] > cap:
+                long_texts += 1
+        assert long_texts
     finally:
         service.registry.unregister("flat")
+        service.registry.unregister("capped")
 
 
 def test_track_unknown_category_raises(service):
@@ -196,13 +209,17 @@ def test_http_classify_text_only_payload(http_server):
     assert len(payload["results"]) == 1
 
 
-def test_http_track(http_server, service, serve_corpus, non_recurrent_pipeline):
+def test_http_track(
+    http_server, service, serve_corpus, non_recurrent_pipeline, capped_pipeline
+):
     """Over HTTP the trace is the service's, and its last value is the
     decision value /classify returns for the same text -- from the worker
-    pool, for the recurrent model and a non-recurrent one alike."""
+    pool, for the recurrent model, a non-recurrent one and a capped one
+    alike."""
     service.registry.add_pipeline("flat", non_recurrent_pipeline)
+    service.registry.add_pipeline("capped", capped_pipeline)
     try:
-        for model in ("default", "flat"):
+        for model in ("default", "flat", "capped"):
             for doc in serve_corpus.test_for("grain")[:4]:
                 status, payload = _post(f"{http_server}/track", {
                     "text": doc.text, "category": "grain", "model": model,
@@ -215,8 +232,12 @@ def test_http_track(http_server, service, serve_corpus, non_recurrent_pipeline):
                 assert status == 200
                 assert payload["states"][-1]["value"] == \
                     classified["results"][0]["decision_values"]["grain"]
+                if model == "capped":
+                    assert payload["words_encoded"] <= \
+                        capped_pipeline.encoder.max_sequence_length
     finally:
         service.registry.unregister("flat")
+        service.registry.unregister("capped")
 
 
 def test_http_reload_noop(http_server):

@@ -1,4 +1,5 @@
-"""Worker dataset handoff: store refs, shared memory, pickling fallback."""
+"""Worker transport end to end: store-warmed serving through a forked
+worker, no shared memory, crash requeue."""
 
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import repro
 from repro.data import DatasetStore
 from repro.serve import InferenceService, ModelRegistry, WorkerPool
 from repro.serve.metrics import MetricsRegistry
-from repro.serve.workers import CRASH_CATEGORY, SequenceRef, WorkerCrash
+from repro.serve.workers import CRASH_CATEGORY, WorkerCrash
 
 
 @pytest.fixture(scope="module")
@@ -34,48 +35,13 @@ def _expected(classifiers, category, sequences):
     return classifiers[category].decision_values(sequences)
 
 
-def test_fresh_sequences_travel_via_shared_memory(classifiers, sequences):
-    metrics = MetricsRegistry()
-    pool = WorkerPool(classifiers, n_workers=1, metrics=metrics)
-    try:
-        category = next(iter(classifiers))
-        values = pool.evaluate({category: sequences}).result(timeout=30)
-        np.testing.assert_allclose(
-            values[category], _expected(classifiers, category, sequences)
-        )
-        snapshot = metrics.snapshot()
-        assert snapshot["pool_shm_sequences_total"] == len(sequences)
-        assert snapshot["pool_pickled_sequences_total"] == 0
-    finally:
-        pool.shutdown()
-
-
-def test_disabling_shared_memory_falls_back_to_pickling(
-    classifiers, sequences
-):
-    metrics = MetricsRegistry()
-    pool = WorkerPool(
-        classifiers, n_workers=1, metrics=metrics, use_shared_memory=False
-    )
-    try:
-        category = next(iter(classifiers))
-        values = pool.evaluate({category: sequences}).result(timeout=30)
-        np.testing.assert_allclose(
-            values[category], _expected(classifiers, category, sequences)
-        )
-        snapshot = metrics.snapshot()
-        assert snapshot["pool_pickled_sequences_total"] == len(sequences)
-        assert snapshot["pool_shm_sequences_total"] == 0
-    finally:
-        pool.shutdown()
-
-
-def test_worker_attach_leaves_the_parent_tracker_entry_alone():
-    """A pool forked after the parent's resource tracker started shares
-    that tracker.  Its workers' shared-memory attaches must not touch the
-    parent's registration, or the parent's unlink makes the tracker
-    print a ``KeyError`` (and a server dying first leaks the segment)."""
+def test_serving_creates_no_shared_memory_and_no_resource_tracker():
+    """Jobs travel as queue messages only: a pool's whole life leaves no
+    ``psm_*`` segment behind and never starts the resource tracker
+    (which every ``shared_memory`` segment would register with)."""
     script = textwrap.dedent("""
+        import os
+        from multiprocessing import resource_tracker
         import numpy as np
         from repro.serve.workers import WorkerPool
 
@@ -83,14 +49,22 @@ def test_worker_attach_leaves_the_parent_tracker_entry_alone():
             def decision_values(self, sequences):
                 return np.array([float(s.sum()) for s in sequences])
 
-        batch = {"a": [np.ones((3, 2)), np.arange(4.0).reshape(2, 2)]}
-        first = WorkerPool({"a": Sums()}, n_workers=1)
-        first.evaluate_many(batch)  # the parent's tracker starts here
-        first.shutdown()
-        second = WorkerPool({"a": Sums()}, n_workers=1)
+        def segments():
+            if not os.path.isdir("/dev/shm"):
+                return set()
+            return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
+
+        before = segments()
+        batch = {"a": [np.ones((3, 2)), np.arange(4.0).reshape(2, 2)],
+                 "b": [np.empty((0, 2))]}
+        pool = WorkerPool({"a": Sums(), "b": Sums()}, n_workers=2)
         for _ in range(5):
-            assert second.evaluate_many(batch)["a"].tolist() == [6.0, 6.0]
-        second.shutdown()
+            values = pool.evaluate_many(batch)
+            assert values["a"].tolist() == [6.0, 6.0], values
+            assert values["b"].tolist() == [0.0], values
+        pool.shutdown()
+        assert segments() <= before, segments() - before
+        assert resource_tracker._resource_tracker._pid is None
     """)
     src = str(Path(repro.__file__).resolve().parents[1])
     completed = subprocess.run(
@@ -98,118 +72,14 @@ def test_worker_attach_leaves_the_parent_tracker_entry_alone():
         timeout=120, env=dict(os.environ, PYTHONPATH=src),
     )
     assert completed.returncode == 0, completed.stderr
-    assert "KeyError" not in completed.stderr, completed.stderr
 
 
-def test_store_refs_cross_as_addresses_not_bytes(
-    classifiers, sequences, tmp_path
-):
-    """The zero-copy contract: sequences resolved from the dataset store
-    reach workers as (address, row) references -- nothing is pickled,
-    nothing is copied into shared memory."""
-    store = DatasetStore(tmp_path / "store", metrics=MetricsRegistry())
-    key = "cafe0handoff"
-    store.ingest(
-        key,
-        [(index, 0, sequence, f"fp-{index}")
-         for index, sequence in enumerate(sequences)],
-    )
-    stored = store.open(key)
-    refs = [
-        SequenceRef(sequence, address=key, row=row)
-        for row, sequence in enumerate(stored.sequences)
-    ]
-    metrics = MetricsRegistry()
-    pool = WorkerPool(
-        classifiers, n_workers=1, metrics=metrics, store_root=store.root
-    )
-    try:
-        category = next(iter(classifiers))
-        values = pool.evaluate({category: refs}).result(timeout=30)
-        np.testing.assert_allclose(
-            values[category],
-            _expected(classifiers, category, stored.sequences),
-        )
-        snapshot = metrics.snapshot()
-        assert snapshot["pool_store_sequences_total"] == len(refs)
-        assert snapshot["pool_shm_sequences_total"] == 0
-        assert snapshot["pool_pickled_sequences_total"] == 0
-    finally:
-        pool.shutdown()
-
-
-def test_refs_without_a_store_root_still_evaluate(classifiers, sequences):
-    """A pool with no store attached degrades refs to the shm path."""
-    metrics = MetricsRegistry()
-    pool = WorkerPool(classifiers, n_workers=1, metrics=metrics)
-    refs = [SequenceRef(s, address="deadbeef", row=i)
-            for i, s in enumerate(sequences)]
-    try:
-        category = next(iter(classifiers))
-        values = pool.evaluate({category: refs}).result(timeout=30)
-        np.testing.assert_allclose(
-            values[category], _expected(classifiers, category, sequences)
-        )
-        assert metrics.snapshot()["pool_store_sequences_total"] == 0
-    finally:
-        pool.shutdown()
-
-
-def test_mixed_batch_splits_between_store_and_shared_memory(
-    classifiers, sequences, tmp_path
-):
-    store = DatasetStore(tmp_path / "store", metrics=MetricsRegistry())
-    key = "cafe1mixed"
-    store.ingest(
-        key,
-        [(index, 0, sequence, f"fp-{index}")
-         for index, sequence in enumerate(sequences[:3])],
-    )
-    stored = store.open(key)
-    batch = [
-        SequenceRef(sequence, address=key, row=row)
-        for row, sequence in enumerate(stored.sequences)
-    ] + list(sequences[3:])
-    metrics = MetricsRegistry()
-    pool = WorkerPool(
-        classifiers, n_workers=1, metrics=metrics, store_root=store.root
-    )
-    try:
-        category = next(iter(classifiers))
-        values = pool.evaluate({category: batch}).result(timeout=30)
-        np.testing.assert_allclose(
-            values[category],
-            _expected(
-                classifiers, category,
-                list(stored.sequences) + list(sequences[3:]),
-            ),
-        )
-        snapshot = metrics.snapshot()
-        assert snapshot["pool_store_sequences_total"] == 3
-        assert snapshot["pool_shm_sequences_total"] == len(sequences) - 3
-        assert snapshot["pool_pickled_sequences_total"] == 0
-    finally:
-        pool.shutdown()
-
-
-def test_inline_pool_unwraps_refs(classifiers, sequences):
-    pool = WorkerPool(classifiers, n_workers=0)
-    refs = [SequenceRef(s) for s in sequences]
-    try:
-        category = next(iter(classifiers))
-        values = pool.evaluate({category: refs}).result(timeout=5)
-        np.testing.assert_allclose(
-            values[category], _expected(classifiers, category, sequences)
-        )
-    finally:
-        pool.shutdown()
-
-
-def test_store_resident_serving_pickles_nothing(
+def test_store_warmed_worker_scores_like_the_cold_inline_service(
     serve_corpus, model_dir, tmp_path
 ):
-    """End to end: a service warmed from the dataset store hands workers
-    addresses, and the pickled-sequence counter stays at zero."""
+    """A service warmed from the dataset store ships the stored
+    sequences to a forked worker, and its decision values equal, bit for
+    bit, those of the cold inline service that wrote the store."""
     registry = ModelRegistry(serve_corpus)
     registry.register("default", model_dir)
     store = DatasetStore(tmp_path / "store", metrics=MetricsRegistry())
@@ -229,14 +99,16 @@ def test_store_resident_serving_pickles_nothing(
         metrics=MetricsRegistry(), data_store=store,
     )
     try:
-        assert len(second.cache) > 0  # warmed with store provenance
+        assert len(second.cache) > 0  # warmed before any traffic
         results = second.classify(docs)
-        assert [r["topics"] for r in results] == \
-            [r["topics"] for r in baseline]
-        snapshot = second.metrics.snapshot()
-        assert snapshot["pool_store_sequences_total"] > 0
-        assert snapshot["pool_pickled_sequences_total"] == 0
-        assert snapshot["pool_shm_sequences_total"] == 0
+        assert second.cache.misses == 0  # every sequence came from the store
+        for ours, theirs in zip(results, baseline):
+            assert ours["decision_values"] == theirs["decision_values"]
+            assert ours["topics"] == theirs["topics"]
+        categories = registry.get().pipeline.suite.categories
+        assert second.metrics.snapshot()["pool_pickled_sequences_total"] == (
+            len(docs) * len(categories)
+        )
     finally:
         second.close()
 
