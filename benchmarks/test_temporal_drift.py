@@ -147,7 +147,7 @@ def test_drift_detection_and_recovery(tmp_path):
         + [replace(doc, split="test") for doc in held],
         CATEGORIES,
     )
-    orchestrator = RetrainOrchestrator(pipeline, data_store=store, monitor=monitor)
+    orchestrator = RetrainOrchestrator(pipeline, monitor=monitor)
     started = time.perf_counter()
     report = orchestrator.retrain(
         extended, monitor.drifted() or (DRIFTED,), ctx=RunContext(seed=config.seed)

@@ -31,7 +31,12 @@ from repro import GpConfig, ProSysConfig, ProSysPipeline, load_corpus
 from repro.corpus.sgml import write_sgml_files
 from repro.corpus.synthetic import SyntheticReutersGenerator
 from repro.evaluation.reporting import format_table
-from repro.persistence import load_pipeline, save_pipeline
+from repro.persistence import (
+    PersistenceError,
+    load_pipeline,
+    read_manifest,
+    save_pipeline,
+)
 
 
 def _add_data_argument(parser: argparse.ArgumentParser) -> None:
@@ -408,13 +413,11 @@ def _cmd_track(args: argparse.Namespace) -> int:
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
-    import json
-
-    manifest_path = Path(args.model) / "manifest.json"
-    if not manifest_path.exists():
-        print(f"error: no model at {args.model}", file=sys.stderr)
+    try:
+        manifest = read_manifest(args.model)
+    except PersistenceError as error:
+        print(f"error: {error}", file=sys.stderr)
         return 1
-    manifest = json.loads(manifest_path.read_text())
     config = manifest["config"]
     print(f"feature selection : {config['feature_method']}")
     print(f"SOM shapes        : {tuple(config['char_shape'])} chars, "
@@ -468,7 +471,7 @@ def _analyze_model(model_dir: Path) -> int:
         verify_program,
     )
     from repro.gp.program import Program
-    from repro.persistence import _gp_config_from_dict, read_manifest
+    from repro.persistence import _gp_config_from_dict
 
     manifest = read_manifest(model_dir)
     failures = 0

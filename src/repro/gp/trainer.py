@@ -40,6 +40,14 @@ FITNESS_FUNCTIONS = {
     "f1": f1_fitness,               # the paper's future-work suggestion
 }
 
+#: Dynamic Subset Selection (Sec. 7.3): documents per subset, tournaments
+#: between subset draws, and whether each subset keeps a minority-class
+#: quota (see :class:`~repro.gp.dss.DynamicSubsetSelector`; essential for
+#: the skewed small categories at reduced tournament budgets).
+DSS_SUBSET_SIZE = 50
+DSS_INTERVAL = 20
+DSS_STRATIFIED = True
+
 
 @dataclass
 class EvolutionResult:
@@ -86,11 +94,8 @@ class RlgpTrainer:
         config: GP parameters (Table 2 defaults; use ``config.small()`` for
             laptop budgets).
         use_dss: evaluate fitness on Dynamic Subset Selection subsets
-            (paper setting) instead of the full training set.
-        dss_subset_size / dss_interval: DSS parameters.
-        dss_stratified: guarantee each subset a minority-class quota (see
-            :class:`~repro.gp.dss.DynamicSubsetSelector`); essential for
-            the skewed small categories at reduced tournament budgets.
+            (paper setting; :data:`DSS_SUBSET_SIZE`, :data:`DSS_INTERVAL`,
+            :data:`DSS_STRATIFIED`) instead of the full training set.
         dynamic_pages: enable the dynamic page-size controller (paper
             setting); when off, crossover uses ``config.max_page_size``.
         recurrent: keep registers across a document's words (paper
@@ -110,9 +115,6 @@ class RlgpTrainer:
         self,
         config: GpConfig,
         use_dss: bool = True,
-        dss_subset_size: int = 50,
-        dss_interval: int = 20,
-        dss_stratified: bool = True,
         dynamic_pages: bool = True,
         recurrent: bool = True,
         fitness: str = "sse",
@@ -126,9 +128,6 @@ class RlgpTrainer:
         self._fitness_fn = FITNESS_FUNCTIONS[fitness]
         self.config = config
         self.use_dss = use_dss
-        self.dss_subset_size = dss_subset_size
-        self.dss_interval = dss_interval
-        self.dss_stratified = dss_stratified
         self.dynamic_pages = dynamic_pages
         self.recurrent = recurrent
 
@@ -175,9 +174,9 @@ class RlgpTrainer:
         )
         dss = DynamicSubsetSelector(
             n_exemplars=n_docs,
-            subset_size=self.dss_subset_size if self.use_dss else n_docs,
-            interval=self.dss_interval,
-            labels=labels if (self.use_dss and self.dss_stratified) else None,
+            subset_size=DSS_SUBSET_SIZE if self.use_dss else n_docs,
+            interval=DSS_INTERVAL,
+            labels=labels if (self.use_dss and DSS_STRATIFIED) else None,
             seed=seed,
         )
 

@@ -1,26 +1,39 @@
-"""Saving and loading trained pipelines.
+"""Saving and loading fitted pipelines and their parts.
 
-A fitted :class:`~repro.pipeline.ProSysPipeline` serialises to a directory:
+A fitted :class:`~repro.pipeline.ProSysPipeline` has three kinds of
+fitted part: the character SOM, one word SOM per category (selected
+BMUs and Gaussian memberships, Sec. 6) and one RLGP rule per category
+(program and Eq. 6 threshold).  Each part has exactly one codec here: a
+writer that turns it into a JSON record plus named arrays, a reader that
+turns them back, and one tuple of required record keys that every read
+checks first.  The records live in two containers:
 
-* ``manifest.json`` -- configuration, feature selection, selected BMUs,
-  Gaussian membership scalars, evolved programs and thresholds;
-* ``arrays.npz``    -- SOM weight matrices and membership mean vectors.
+* a model directory (:func:`save_pipeline` / :func:`load_pipeline`):
+  ``manifest.json`` nests every record (``char_som``, ``encoders``,
+  ``classifiers``) beside the configuration and feature selection, and
+  ``arrays.npz`` holds every part's arrays under a per-part prefix
+  (``char_som_``, ``word_som_<category>_``);
+* a checkpoint stage (:func:`save_stage` plus one loader per part), which
+  ``repro.runtime.CheckpointStore`` seals so an interrupted fit resumes:
+  ``stage.json`` holds one record inside a ``format_version``/``kind``
+  envelope, and ``stage_arrays.npz`` its arrays under bare names.
+
+Records hold only what fitting learned.  Run-wide settings -- the
+member-word filter, the hit-mass floor, the SOM training mode and
+recurrence -- come from the run's configuration on every load, so a
+reloaded or resumed model reads documents exactly as the fitted one.
 
 The corpus itself is *not* stored (data and model are separate concerns);
 :func:`load_pipeline` takes the corpus to re-attach.  Loading restores
 byte-identical behaviour: encodings, decision values, predictions and
 tracking traces all match the pipeline that was saved.
-
-The module also provides *stage-level* serialisation (character SOM,
-per-category word SOM, per-category classifier) used by
-``repro.runtime.CheckpointStore`` to resume interrupted training runs.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, Union
+from typing import Dict, Mapping, Tuple, Union
 
 import numpy as np
 
@@ -46,21 +59,21 @@ __all__ = [
     "read_manifest",
     "save_pipeline",
     "validate_manifest",
-    "save_character_encoder",
-    "load_character_encoder",
-    "save_category_encoder",
-    "load_category_encoder",
-    "save_classifier",
-    "load_classifier",
+    "save_stage",
+    "load_char_som",
+    "load_word_som",
+    "load_rule",
 ]
 
 FORMAT_VERSION = 1
 
+Arrays = Dict[str, np.ndarray]
+
 
 #: Top-level keys every manifest must carry, and the sub-keys required
-#: inside each mapping-valued section.  Validated before any value is
-#: used so a corrupt or foreign directory fails with a clear message
-#: instead of an opaque ``KeyError`` deep inside reconstruction.
+#: inside its config.  Validated before any value is used so a corrupt
+#: or foreign directory fails with a clear message instead of an opaque
+#: ``KeyError`` deep inside reconstruction.
 _REQUIRED_MANIFEST_KEYS = (
     "format_version",
     "config",
@@ -83,8 +96,23 @@ _REQUIRED_CONFIG_KEYS = (
     "seed",
     "gp",
 )
-_REQUIRED_CLASSIFIER_KEYS = ("code", "threshold", "train_fitness", "gp")
-_REQUIRED_ENCODER_KEYS = ("rows", "cols", "epochs", "seed", "selected_units", "memberships")
+#: Required record keys of each fitted part, by stage kind: the one
+#: schema for the manifest's ``char_som``, ``encoders[c]`` and
+#: ``classifiers[c]`` sections and for a stage's ``stage.json``.
+_PART_KEYS = {
+    "char_som": ("rows", "cols", "epochs", "seed"),
+    "word_som": ("rows", "cols", "epochs", "seed", "selected_units", "memberships"),
+    "rlgp": ("code", "threshold", "train_fitness", "gp"),
+}
+
+
+def _check_record(record: object, keys: Tuple[str, ...], where: str) -> dict:
+    if not isinstance(record, dict):
+        raise PersistenceError(f"{where} must be an object")
+    missing = [key for key in keys if key not in record]
+    if missing:
+        raise PersistenceError(f"{where} is missing keys: {', '.join(missing)}")
+    return record
 
 
 def validate_manifest(manifest: object, source: str = "manifest") -> dict:
@@ -112,14 +140,7 @@ def validate_manifest(manifest: object, source: str = "manifest") -> dict:
             f"{source}: unsupported model format "
             f"{manifest['format_version']!r} (expected {FORMAT_VERSION})"
         )
-    config = manifest["config"]
-    if not isinstance(config, dict):
-        raise PersistenceError(f"{source}: 'config' must be an object")
-    missing = [key for key in _REQUIRED_CONFIG_KEYS if key not in config]
-    if missing:
-        raise PersistenceError(
-            f"{source}: config is missing keys: {', '.join(missing)}"
-        )
+    _check_record(manifest["config"], _REQUIRED_CONFIG_KEYS, f"{source}: config")
     feature_set = manifest["feature_set"]
     if not isinstance(feature_set, dict) or not {
         "method", "scope", "per_category"
@@ -130,26 +151,17 @@ def validate_manifest(manifest: object, source: str = "manifest") -> dict:
         )
     if not isinstance(manifest["categories"], list) or not manifest["categories"]:
         raise PersistenceError(f"{source}: 'categories' must be a non-empty list")
-    for section, required in (
-        ("classifiers", _REQUIRED_CLASSIFIER_KEYS),
-        ("encoders", _REQUIRED_ENCODER_KEYS),
-    ):
-        payloads = manifest[section]
-        if not isinstance(payloads, dict) or not payloads:
+    _check_record(manifest["char_som"], _PART_KEYS["char_som"], f"{source}: char_som")
+    for section, kind in (("classifiers", "rlgp"), ("encoders", "word_som")):
+        records = manifest[section]
+        if not isinstance(records, dict) or not records:
             raise PersistenceError(
                 f"{source}: '{section}' must be a non-empty object"
             )
-        for category, payload in payloads.items():
-            if not isinstance(payload, dict):
-                raise PersistenceError(
-                    f"{source}: {section}[{category!r}] must be an object"
-                )
-            missing = [key for key in required if key not in payload]
-            if missing:
-                raise PersistenceError(
-                    f"{source}: {section}[{category!r}] is missing keys: "
-                    f"{', '.join(missing)}"
-                )
+        for category, record in records.items():
+            _check_record(
+                record, _PART_KEYS[kind], f"{source}: {section}[{category!r}]"
+            )
     return manifest
 
 
@@ -198,13 +210,13 @@ def _gp_config_from_dict(payload: dict) -> GpConfig:
     return GpConfig(**payload)
 
 
-def _array(arrays, key: str) -> np.ndarray:
+def _array(arrays: Mapping[str, np.ndarray], key: str) -> np.ndarray:
     if key not in arrays:
         raise PersistenceError(f"arrays.npz is missing array {key!r}")
     return arrays[key]
 
 
-def _load_arrays(path: Path) -> Dict[str, np.ndarray]:
+def _load_arrays(path: Path) -> Arrays:
     """Load an ``.npz`` payload fully, surfacing damage as PersistenceError.
 
     ``np.load`` keeps ``.npz`` members lazy, so a truncated or corrupt
@@ -231,6 +243,117 @@ def _load_arrays(path: Path) -> Dict[str, np.ndarray]:
         ) from error
 
 
+# ----------------------------------------------------------------------
+# one codec per fitted part
+# ----------------------------------------------------------------------
+# A writer returns ``(record, arrays)``, every array name under
+# ``prefix``; its reader takes that record (and those arrays and prefix)
+# plus the run-wide state the record does not carry.
+
+
+def _write_char_som(encoder: CharacterEncoder, prefix: str = "") -> Tuple[dict, Arrays]:
+    record = {
+        "rows": encoder.rows,
+        "cols": encoder.cols,
+        "epochs": encoder.epochs,
+        "seed": encoder.seed,
+    }
+    return record, {f"{prefix}weights": encoder.som.weights}
+
+
+def _read_char_som(
+    record: dict, arrays: Mapping[str, np.ndarray],
+    hierarchy: HierarchicalSomEncoder, prefix: str = "",
+) -> CharacterEncoder:
+    encoder = CharacterEncoder(
+        rows=record["rows"],
+        cols=record["cols"],
+        epochs=record["epochs"],
+        training=hierarchy.training,
+        seed=record["seed"],
+    )
+    encoder.som = SelfOrganizingMap(encoder.rows, encoder.cols, 2)
+    encoder.som.weights = _array(arrays, f"{prefix}weights")
+    return encoder
+
+
+def _write_word_som(encoder: CategoryEncoder, prefix: str = "") -> Tuple[dict, Arrays]:
+    arrays: Arrays = {f"{prefix}weights": encoder.som.weights}
+    memberships = {}
+    for unit, membership in encoder.memberships.items():
+        arrays[f"{prefix}mean_{unit}"] = membership.mean
+        memberships[str(unit)] = {
+            "sigma": membership.sigma,
+            "min_training_value": membership.min_training_value,
+        }
+    record = {
+        "rows": encoder.rows,
+        "cols": encoder.cols,
+        "epochs": encoder.epochs,
+        "seed": encoder.seed,
+        "selected_units": [int(u) for u in encoder.selected_units],
+        "memberships": memberships,
+    }
+    return record, arrays
+
+
+def _read_word_som(
+    record: dict, arrays: Mapping[str, np.ndarray], category: str,
+    hierarchy: HierarchicalSomEncoder, prefix: str = "",
+) -> CategoryEncoder:
+    encoder = CategoryEncoder(
+        category,
+        hierarchy.vectorizer,
+        rows=record["rows"],
+        cols=record["cols"],
+        epochs=record["epochs"],
+        min_hit_mass=hierarchy.min_hit_mass,
+        training=hierarchy.training,
+        member_word_filter=hierarchy.member_word_filter,
+        seed=record["seed"],
+    )
+    encoder.som = SelfOrganizingMap(
+        encoder.rows, encoder.cols, hierarchy.vectorizer.dim
+    )
+    encoder.som.weights = _array(arrays, f"{prefix}weights")
+    encoder.selected_units = [int(u) for u in record["selected_units"]]
+    encoder.memberships = {
+        int(unit): GaussianMembership(
+            unit=int(unit),
+            mean=_array(arrays, f"{prefix}mean_{unit}"),
+            sigma=scalars["sigma"],
+            min_training_value=scalars["min_training_value"],
+        )
+        for unit, scalars in record["memberships"].items()
+    }
+    return encoder
+
+
+def _write_rule(classifier: RlgpBinaryClassifier) -> Tuple[dict, Arrays]:
+    record = {
+        "code": list(classifier.program.code),
+        "threshold": classifier.threshold,
+        "train_fitness": classifier.train_fitness,
+        "gp": _gp_config_to_dict(classifier.config),
+    }
+    return record, {}
+
+
+def _read_rule(record: dict, category: str, recurrent: bool) -> RlgpBinaryClassifier:
+    gp_config = _gp_config_from_dict(record["gp"])
+    return RlgpBinaryClassifier(
+        category=category,
+        program=Program(record["code"], gp_config),
+        config=gp_config,
+        threshold=record["threshold"],
+        train_fitness=record["train_fitness"],
+        recurrent=recurrent,
+    )
+
+
+# ----------------------------------------------------------------------
+# model directory
+# ----------------------------------------------------------------------
 def save_pipeline(pipeline: ProSysPipeline, directory: Union[str, Path]) -> Path:
     """Serialise a fitted pipeline into ``directory``.
 
@@ -245,7 +368,6 @@ def save_pipeline(pipeline: ProSysPipeline, directory: Union[str, Path]) -> Path
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
 
-    arrays: Dict[str, np.ndarray] = {}
     manifest: dict = {
         "format_version": FORMAT_VERSION,
         "config": {
@@ -278,42 +400,16 @@ def save_pipeline(pipeline: ProSysPipeline, directory: Union[str, Path]) -> Path
         "classifiers": {},
         "encoders": {},
     }
-
-    char_encoder = pipeline.encoder.character_encoder
-    arrays["char_som_weights"] = char_encoder.som.weights
-    manifest["char_som"] = {
-        "rows": char_encoder.rows,
-        "cols": char_encoder.cols,
-        "epochs": char_encoder.epochs,
-        "seed": char_encoder.seed,
-    }
-
+    manifest["char_som"], arrays = _write_char_som(
+        pipeline.encoder.character_encoder, "char_som_"
+    )
     for category, encoder in pipeline.encoder.category_encoders.items():
-        key = f"word_som_{category}"
-        arrays[f"{key}_weights"] = encoder.som.weights
-        memberships = {}
-        for unit, membership in encoder.memberships.items():
-            arrays[f"{key}_mean_{unit}"] = membership.mean
-            memberships[str(unit)] = {
-                "sigma": membership.sigma,
-                "min_training_value": membership.min_training_value,
-            }
-        manifest["encoders"][category] = {
-            "rows": encoder.rows,
-            "cols": encoder.cols,
-            "epochs": encoder.epochs,
-            "seed": encoder.seed,
-            "selected_units": [int(u) for u in encoder.selected_units],
-            "memberships": memberships,
-        }
-
+        manifest["encoders"][category], part_arrays = _write_word_som(
+            encoder, f"word_som_{category}_"
+        )
+        arrays.update(part_arrays)
     for category, classifier in pipeline.suite.classifiers.items():
-        manifest["classifiers"][category] = {
-            "code": list(classifier.program.code),
-            "threshold": classifier.threshold,
-            "train_fitness": classifier.train_fitness,
-            "gp": _gp_config_to_dict(classifier.config),
-        }
+        manifest["classifiers"][category], _ = _write_rule(classifier)
 
     (directory / "manifest.json").write_text(json.dumps(manifest, indent=2))
     np.savez_compressed(directory / "arrays.npz", **arrays)
@@ -368,88 +464,40 @@ def load_pipeline(directory: Union[str, Path], corpus: Corpus) -> ProSysPipeline
         scope=manifest["feature_set"]["scope"],
     )
 
-    char_payload = manifest["char_som"]
-    char_encoder = CharacterEncoder(
-        rows=char_payload["rows"],
-        cols=char_payload["cols"],
-        epochs=char_payload["epochs"],
-        seed=char_payload["seed"],
+    encoder = pipeline.encoder = config.encoder()
+    encoder.character_encoder = _read_char_som(
+        manifest["char_som"], arrays, encoder, "char_som_"
     )
-    char_encoder.som = SelfOrganizingMap(char_payload["rows"], char_payload["cols"], 2)
-    char_encoder.som.weights = _array(arrays, "char_som_weights")
-
-    encoder = HierarchicalSomEncoder(
-        char_rows=char_payload["rows"],
-        char_cols=char_payload["cols"],
-        word_rows=config.word_shape[0],
-        word_cols=config.word_shape[1],
-        epochs=config.som_epochs,
-        min_hit_mass=config.min_hit_mass,
-        max_sequence_length=config.max_sequence_length,
-        seed=config.seed,
-    )
-    encoder.character_encoder = char_encoder
-    encoder.vectorizer = WordVectorizer(char_encoder)
-    encoder.category_encoders = {}
-
-    for category, payload in manifest["encoders"].items():
-        category_encoder = CategoryEncoder(
-            category,
-            encoder.vectorizer,
-            rows=payload["rows"],
-            cols=payload["cols"],
-            epochs=payload["epochs"],
-            seed=payload["seed"],
+    encoder.vectorizer = WordVectorizer(encoder.character_encoder)
+    for category, record in manifest["encoders"].items():
+        encoder.category_encoders[category] = _read_word_som(
+            record, arrays, category, encoder, f"word_som_{category}_"
         )
-        key = f"word_som_{category}"
-        som = SelfOrganizingMap(
-            payload["rows"], payload["cols"], encoder.vectorizer.dim
-        )
-        som.weights = _array(arrays, f"{key}_weights")
-        category_encoder.som = som
-        category_encoder.selected_units = list(payload["selected_units"])
-        category_encoder.memberships = {
-            int(unit): GaussianMembership(
-                unit=int(unit),
-                mean=_array(arrays, f"{key}_mean_{unit}"),
-                sigma=scalars["sigma"],
-                min_training_value=scalars["min_training_value"],
-            )
-            for unit, scalars in payload["memberships"].items()
-        }
-        encoder.category_encoders[category] = category_encoder
-    pipeline.encoder = encoder
-
-    for category, payload in manifest["classifiers"].items():
-        gp_config = _gp_config_from_dict(payload["gp"])
-        pipeline.suite.add(
-            RlgpBinaryClassifier(
-                category=category,
-                program=Program(payload["code"], gp_config),
-                config=gp_config,
-                threshold=payload["threshold"],
-                train_fitness=payload["train_fitness"],
-                recurrent=config.recurrent,
-            )
-        )
+    for category, record in manifest["classifiers"].items():
+        pipeline.suite.add(_read_rule(record, category, config.recurrent))
     return pipeline
 
 
 # ----------------------------------------------------------------------
-# stage-level serialisation (runtime checkpoints)
+# checkpoint stages
 # ----------------------------------------------------------------------
 # Each completed training stage -- the character SOM, one category's
-# word SOM, one category's classifier -- serialises into its own
-# directory as ``stage.json`` (+ ``stage_arrays.npz`` where weights are
-# involved).  ``repro.runtime.CheckpointStore`` seals/loads these so an
-# interrupted ``ProSysPipeline.fit`` resumes instead of restarting.
+# word SOM, one category's rule -- serialises into its own directory as
+# ``stage.json`` (+ ``stage_arrays.npz`` where weights are involved).
+# ``repro.runtime.CheckpointStore`` seals/loads these so an interrupted
+# ``ProSysPipeline.fit`` resumes instead of restarting.
 
 _STAGE_MANIFEST = "stage.json"
 _STAGE_ARRAYS = "stage_arrays.npz"
+_STAGE_WRITERS = {
+    "char_som": _write_char_som,
+    "word_som": _write_word_som,
+    "rlgp": _write_rule,
+}
 
 
 def _write_stage(directory: Union[str, Path], kind: str, payload: dict,
-                 arrays: Dict[str, np.ndarray]) -> None:
+                 arrays: Arrays) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     record = {"format_version": FORMAT_VERSION, "kind": kind}
@@ -459,7 +507,7 @@ def _write_stage(directory: Union[str, Path], kind: str, payload: dict,
         np.savez_compressed(directory / _STAGE_ARRAYS, **arrays)
 
 
-def _read_stage(directory: Union[str, Path], kind: str):
+def _read_stage(directory: Union[str, Path], kind: str) -> Tuple[dict, Arrays]:
     directory = Path(directory)
     manifest_path = directory / _STAGE_MANIFEST
     if not manifest_path.exists():
@@ -484,154 +532,48 @@ def _read_stage(directory: Union[str, Path], kind: str):
         )
     arrays_path = directory / _STAGE_ARRAYS
     arrays = _load_arrays(arrays_path) if arrays_path.exists() else {}
-    return payload, arrays
+    return _check_record(payload, _PART_KEYS[kind], str(manifest_path)), arrays
 
 
-def _stage_field(payload: dict, key: str, source: str):
-    if key not in payload:
-        raise PersistenceError(f"{source} stage is missing field {key!r}")
-    return payload[key]
+def save_stage(directory: Union[str, Path], kind: str, part) -> None:
+    """Checkpoint one fitted part as a stage of ``kind``.
+
+    ``kind`` is ``"char_som"`` (a :class:`CharacterEncoder`),
+    ``"word_som"`` (a :class:`CategoryEncoder`) or ``"rlgp"`` (an
+    :class:`RlgpBinaryClassifier`); the record is the one the part has
+    in a model manifest, its arrays stored under bare names.
+    """
+    _write_stage(directory, kind, *_STAGE_WRITERS[kind](part))
 
 
-def save_character_encoder(
-    encoder: CharacterEncoder, directory: Union[str, Path]
-) -> None:
-    """Serialise a fitted first-level character SOM stage."""
-    if not encoder.is_fitted:
-        raise PersistenceError("cannot checkpoint an unfitted CharacterEncoder")
-    _write_stage(
-        directory,
-        "char_som",
-        {
-            "rows": encoder.rows,
-            "cols": encoder.cols,
-            "epochs": encoder.epochs,
-            "training": encoder.training,
-            "seed": encoder.seed,
-        },
-        {"weights": encoder.som.weights},
-    )
+def load_char_som(
+    directory: Union[str, Path], hierarchy: HierarchicalSomEncoder
+) -> CharacterEncoder:
+    """Restore a ``char_som`` stage under ``hierarchy``'s training mode."""
+    return _read_char_som(*_read_stage(directory, "char_som"), hierarchy)
 
 
-def load_character_encoder(directory: Union[str, Path]) -> CharacterEncoder:
-    """Restore a character SOM stage written by :func:`save_character_encoder`."""
-    payload, arrays = _read_stage(directory, "char_som")
-    encoder = CharacterEncoder(
-        rows=_stage_field(payload, "rows", "char_som"),
-        cols=_stage_field(payload, "cols", "char_som"),
-        epochs=_stage_field(payload, "epochs", "char_som"),
-        training=payload.get("training", "batch"),
-        seed=_stage_field(payload, "seed", "char_som"),
-    )
-    encoder.som = SelfOrganizingMap(encoder.rows, encoder.cols, 2)
-    encoder.som.weights = _array(arrays, "weights")
-    return encoder
-
-
-def save_category_encoder(
-    encoder: CategoryEncoder, directory: Union[str, Path]
-) -> None:
-    """Serialise one category's fitted word-SOM stage."""
-    if not encoder.is_fitted:
-        raise PersistenceError(
-            f"cannot checkpoint unfitted CategoryEncoder({encoder.category!r})"
-        )
-    arrays: Dict[str, np.ndarray] = {"weights": encoder.som.weights}
-    memberships = {}
-    for unit, membership in encoder.memberships.items():
-        arrays[f"mean_{unit}"] = membership.mean
-        memberships[str(unit)] = {
-            "sigma": membership.sigma,
-            "min_training_value": membership.min_training_value,
-        }
-    _write_stage(
-        directory,
-        "word_som",
-        {
-            "category": encoder.category,
-            "rows": encoder.rows,
-            "cols": encoder.cols,
-            "epochs": encoder.epochs,
-            "min_hit_mass": encoder.min_hit_mass,
-            "training": encoder.training,
-            "member_word_filter": encoder.member_word_filter,
-            "seed": encoder.seed,
-            "selected_units": [int(u) for u in encoder.selected_units],
-            "memberships": memberships,
-        },
-        arrays,
-    )
-
-
-def load_category_encoder(
-    directory: Union[str, Path], vectorizer: WordVectorizer
+def load_word_som(
+    directory: Union[str, Path], category: str, hierarchy: HierarchicalSomEncoder
 ) -> CategoryEncoder:
-    """Restore a word-SOM stage, re-attaching the shared ``vectorizer``."""
-    payload, arrays = _read_stage(directory, "word_som")
-    encoder = CategoryEncoder(
-        _stage_field(payload, "category", "word_som"),
-        vectorizer,
-        rows=_stage_field(payload, "rows", "word_som"),
-        cols=_stage_field(payload, "cols", "word_som"),
-        epochs=_stage_field(payload, "epochs", "word_som"),
-        min_hit_mass=payload.get("min_hit_mass", 0.5),
-        training=payload.get("training", "batch"),
-        member_word_filter=payload.get("member_word_filter", True),
-        seed=_stage_field(payload, "seed", "word_som"),
-    )
-    encoder.som = SelfOrganizingMap(encoder.rows, encoder.cols, vectorizer.dim)
-    encoder.som.weights = _array(arrays, "weights")
-    encoder.selected_units = [
-        int(u) for u in _stage_field(payload, "selected_units", "word_som")
-    ]
-    encoder.memberships = {
-        int(unit): GaussianMembership(
-            unit=int(unit),
-            mean=_array(arrays, f"mean_{unit}"),
-            sigma=scalars["sigma"],
-            min_training_value=scalars["min_training_value"],
-        )
-        for unit, scalars in _stage_field(
-            payload, "memberships", "word_som"
-        ).items()
-    }
-    return encoder
+    """Restore ``category``'s ``word_som`` stage.
+
+    The encoder shares ``hierarchy.vectorizer`` and takes the run-wide
+    settings (hit-mass floor, training mode, member-word filter) from
+    ``hierarchy``, which the run's configuration built.
+    """
+    record, arrays = _read_stage(directory, "word_som")
+    return _read_word_som(record, arrays, category, hierarchy)
 
 
-def save_classifier(
-    classifier: RlgpBinaryClassifier, directory: Union[str, Path]
-) -> None:
-    """Serialise one category's trained RLGP classifier stage."""
-    _write_stage(
-        directory,
-        "rlgp",
-        {
-            "category": classifier.category,
-            "code": list(classifier.program.code),
-            "threshold": classifier.threshold,
-            "train_fitness": classifier.train_fitness,
-            "gp": _gp_config_to_dict(classifier.config),
-        },
-        {},
-    )
-
-
-def load_classifier(
-    directory: Union[str, Path], recurrent: bool = True
+def load_rule(
+    directory: Union[str, Path], category: str, recurrent: bool
 ) -> RlgpBinaryClassifier:
-    """Restore a classifier stage written by :func:`save_classifier`.
+    """Restore ``category``'s ``rlgp`` stage.
 
     Args:
-        recurrent: whether the program was evolved recurrently.  The
-            stage does not record it; the run's ``ProSysConfig`` does.
+        recurrent: whether the program was evolved recurrently, from
+            the run's :class:`~repro.pipeline.ProSysConfig`.
     """
-    payload, _ = _read_stage(directory, "rlgp")
-    gp_config = _gp_config_from_dict(_stage_field(payload, "gp", "rlgp"))
-    return RlgpBinaryClassifier(
-        category=_stage_field(payload, "category", "rlgp"),
-        program=Program(_stage_field(payload, "code", "rlgp"), gp_config),
-        config=gp_config,
-        threshold=_stage_field(payload, "threshold", "rlgp"),
-        train_fitness=_stage_field(payload, "train_fitness", "rlgp"),
-        recurrent=recurrent,
-    )
+    record, _ = _read_stage(directory, "rlgp")
+    return _read_rule(record, category, recurrent)

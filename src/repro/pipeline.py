@@ -13,7 +13,7 @@ per-category RLGP training into one object::
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.classify.binary import RlgpBinaryClassifier
 from repro.classify.multilabel import OneVsRestRlgp
@@ -104,6 +104,20 @@ class ProSysConfig:
         n = self.n_features or DEFAULT_FEATURE_COUNTS[self.feature_method]
         return cls(n)
 
+    def encoder(self) -> HierarchicalSomEncoder:
+        """An unfitted SOM hierarchy with this configuration's settings."""
+        return HierarchicalSomEncoder(
+            char_rows=self.char_shape[0],
+            char_cols=self.char_shape[1],
+            word_rows=self.word_shape[0],
+            word_cols=self.word_shape[1],
+            epochs=self.som_epochs,
+            min_hit_mass=self.min_hit_mass,
+            max_sequence_length=self.max_sequence_length,
+            member_word_filter=self.member_word_filter,
+            seed=self.seed,
+        )
+
 
 class ProSysPipeline:
     """Fits and evaluates the proposed system on a corpus."""
@@ -146,8 +160,9 @@ class ProSysPipeline:
 
         Training executes as checkpointable stages on the shared
         execution layer (:mod:`repro.runtime`): tokenize, feature
-        selection, character SOM, per-category word SOMs, per-category
-        RLGP classifiers.  The two per-category stages fan out over
+        selection, character SOM, per-category word SOMs
+        (:meth:`fit_word_som`), per-category RLGP classifiers
+        (:meth:`fit_rule`).  The two per-category stages fan out over
         ``ctx.n_jobs`` forked workers (inline at 0), and each completed
         unit is checkpointed when ``ctx.checkpoints`` is set, so an
         interrupted fit resumes instead of restarting.
@@ -165,13 +180,16 @@ class ProSysPipeline:
         store = ctx.checkpoints
         # Imported here: repro.persistence imports this module.
         from repro.persistence import (
-            load_category_encoder,
-            load_character_encoder,
-            load_classifier,
-            save_category_encoder,
-            save_character_encoder,
-            save_classifier,
+            load_char_som,
+            load_rule,
+            load_word_som,
+            save_stage,
         )
+
+        def checkpoint(stage: str, kind: str, part) -> None:
+            if store is not None:
+                store.save(stage, lambda directory: save_stage(directory, kind, part))
+                ctx.emit("checkpoint_saved", stage=stage)
 
         with ctx.stage("tokenize"):
             self.tokenized = TokenizedCorpus(corpus, Preprocessor(stem=config.stem))
@@ -183,23 +201,12 @@ class ProSysPipeline:
                 self.tokenized, n_jobs=ctx.n_jobs
             )
 
-        encoder = HierarchicalSomEncoder(
-            char_rows=config.char_shape[0],
-            char_cols=config.char_shape[1],
-            word_rows=config.word_shape[0],
-            word_cols=config.word_shape[1],
-            epochs=config.som_epochs,
-            min_hit_mass=config.min_hit_mass,
-            max_sequence_length=config.max_sequence_length,
-            member_word_filter=config.member_word_filter,
-            seed=config.seed,
-        )
-        self.encoder = encoder
+        encoder = self.encoder = config.encoder()
 
         with ctx.stage("char_som"):
             if store is not None and store.has("char_som"):
                 encoder.character_encoder = store.load(
-                    "char_som", load_character_encoder
+                    "char_som", lambda directory: load_char_som(directory, encoder)
                 )
                 encoder.vectorizer = WordVectorizer(encoder.character_encoder)
                 ctx.emit("checkpoint_loaded", stage="char_som")
@@ -207,14 +214,7 @@ class ProSysPipeline:
                 encoder.fit_character_level(
                     self.tokenized, ctx=ctx.child("char_som")
                 )
-                if store is not None:
-                    store.save(
-                        "char_som",
-                        lambda directory: save_character_encoder(
-                            encoder.character_encoder, directory
-                        ),
-                    )
-                    ctx.emit("checkpoint_saved", stage="char_som")
+                checkpoint("char_som", "char_som", encoder.character_encoder)
 
         tasks = list(enumerate(categories))
 
@@ -225,34 +225,18 @@ class ProSysPipeline:
                 if store is None or not store.has(f"word_som/{category}")
             ]
 
-            def fit_word_som(task) -> CategoryEncoder:
-                offset, category = task
-                return encoder.fit_category(
-                    category,
-                    self.tokenized,
-                    self.feature_set,
-                    offset,
-                    ctx=ctx.child("word_som", category),
-                )
-
             def word_som_done(index: int, fitted: CategoryEncoder) -> None:
                 category = pending[index][1]
-                if store is not None:
-                    store.save(
-                        f"word_som/{category}",
-                        lambda directory: save_category_encoder(fitted, directory),
-                    )
-                    ctx.emit("checkpoint_saved", stage=f"word_som/{category}")
+                checkpoint(f"word_som/{category}", "word_som", fitted)
                 ctx.emit("task_finished", stage="word_soms", category=category)
 
             freshly_fitted = dict(zip(
                 (category for _, category in pending),
                 parallel_map(
-                    fit_word_som, pending,
+                    lambda task: self.fit_word_som(*task, ctx), pending,
                     n_jobs=ctx.n_jobs, on_result=word_som_done,
                 ),
             ))
-            encoder.category_encoders = {}
             for offset, category in tasks:
                 fitted = freshly_fitted.get(category)
                 if fitted is not None:
@@ -263,9 +247,7 @@ class ProSysPipeline:
                 else:
                     fitted = store.load(
                         f"word_som/{category}",
-                        lambda directory: load_category_encoder(
-                            directory, encoder.vectorizer
-                        ),
+                        lambda directory: load_word_som(directory, category, encoder),
                     )
                     ctx.emit("checkpoint_loaded", stage=f"word_som/{category}")
                 encoder.category_encoders[category] = fitted
@@ -277,44 +259,16 @@ class ProSysPipeline:
                 if store is None or not store.has(f"rlgp/{category}")
             ]
 
-            def fit_rlgp(task):
-                offset, category = task
-                rlgp_ctx = ctx.child("rlgp", category)
-                base_seed = rlgp_ctx.seed_for(
-                    legacy=config.seed + 101 * (offset + 1)
-                )
-                dataset = self._encoded_dataset(category, "train", ctx=rlgp_ctx)
-                trainer = RlgpTrainer(
-                    replace(config.gp, seed=base_seed),
-                    use_dss=config.use_dss,
-                    dynamic_pages=config.dynamic_pages,
-                    recurrent=config.recurrent,
-                    fitness=config.fitness,
-                )
-                classifier = RlgpBinaryClassifier.fit(
-                    dataset,
-                    trainer,
-                    n_restarts=config.n_restarts,
-                    base_seed=base_seed,
-                    ctx=rlgp_ctx,
-                )
-                return dataset, classifier
-
             def rlgp_done(index: int, result) -> None:
                 category = pending[index][1]
-                _, classifier = result
-                if store is not None:
-                    store.save(
-                        f"rlgp/{category}",
-                        lambda directory: save_classifier(classifier, directory),
-                    )
-                    ctx.emit("checkpoint_saved", stage=f"rlgp/{category}")
+                checkpoint(f"rlgp/{category}", "rlgp", result[1])
                 ctx.emit("task_finished", stage="rlgp", category=category)
 
             freshly_trained = dict(zip(
                 (category for _, category in pending),
                 parallel_map(
-                    fit_rlgp, pending, n_jobs=ctx.n_jobs, on_result=rlgp_done
+                    lambda task: self.fit_rule(*task, ctx), pending,
+                    n_jobs=ctx.n_jobs, on_result=rlgp_done,
                 ),
             ))
             for offset, category in tasks:
@@ -325,8 +279,8 @@ class ProSysPipeline:
                 else:
                     classifier = store.load(
                         f"rlgp/{category}",
-                        lambda directory: load_classifier(
-                            directory, recurrent=config.recurrent
+                        lambda directory: load_rule(
+                            directory, category, config.recurrent
                         ),
                     )
                     ctx.emit("checkpoint_loaded", stage=f"rlgp/{category}")
@@ -334,6 +288,56 @@ class ProSysPipeline:
 
         ctx.emit("run_finished", categories=len(categories))
         return self
+
+    def fit_word_som(
+        self, offset: int, category: str, ctx: RunContext
+    ) -> CategoryEncoder:
+        """Fit ``category``'s word SOM on the pipeline's corpus and terms.
+
+        One per-category unit of :meth:`fit` (and of a surgical retrain):
+        the encoder's seed follows from ``offset``, the category's
+        position in the fit order, under ``ctx.child("word_som",
+        category)``.  Nothing is registered on the pipeline.
+        """
+        return self.encoder.fit_category(
+            category,
+            self.tokenized,
+            self.feature_set,
+            offset,
+            ctx=ctx.child("word_som", category),
+        )
+
+    def fit_rule(
+        self, offset: int, category: str, ctx: RunContext
+    ) -> Tuple[EncodedDataset, RlgpBinaryClassifier]:
+        """Evolve ``category``'s rule on its encoded training split.
+
+        The other per-category unit: ``category``'s registered word SOM
+        encodes the split (through the data store when one is attached),
+        and evolution runs at the seed ``offset`` gives the category
+        under ``ctx.child("rlgp", category)``.  Returns the training
+        dataset and the classifier; nothing is registered on the
+        pipeline.
+        """
+        config = self.config
+        rlgp_ctx = ctx.child("rlgp", category)
+        base_seed = rlgp_ctx.seed_for(legacy=config.seed + 101 * (offset + 1))
+        dataset = self._encoded_dataset(category, "train", ctx=rlgp_ctx)
+        trainer = RlgpTrainer(
+            replace(config.gp, seed=base_seed),
+            use_dss=config.use_dss,
+            dynamic_pages=config.dynamic_pages,
+            recurrent=config.recurrent,
+            fitness=config.fitness,
+        )
+        classifier = RlgpBinaryClassifier.fit(
+            dataset,
+            trainer,
+            n_restarts=config.n_restarts,
+            base_seed=base_seed,
+            ctx=rlgp_ctx,
+        )
+        return dataset, classifier
 
     # ------------------------------------------------------------------
     # evaluation

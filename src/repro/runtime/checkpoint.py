@@ -123,9 +123,3 @@ class CheckpointStore:
                 f"checkpoint stage {name!r} in {directory} is corrupt: "
                 f"{type(error).__name__}: {error}"
             ) from error
-
-    def invalidate(self, name: str) -> None:
-        """Drop stage ``name`` so the next run recomputes it."""
-        directory = self.stage_dir(name)
-        if directory.exists():
-            shutil.rmtree(directory)

@@ -6,32 +6,38 @@ churn while "grain" stays put.  The orchestrator therefore treats a
 drift alarm as a *surgical* retrain:
 
 * undrifted categories keep their word SOMs, classifiers and selected
-  terms; when a :class:`~repro.data.DatasetStore` is attached, their
-  training datasets re-open at their original content addresses (store
-  hits, ``encoded=0``) -- the store's stats are the proof that nothing
-  was recomputed for them;
+  terms; when the pipeline has a :class:`~repro.data.DatasetStore`,
+  their training datasets re-open at their original content addresses
+  (store hits, ``encoded=0``) -- the store's stats are the proof that
+  nothing was recomputed for them;
 * drifted categories get fresh feature selection on the extended
   corpus (their term sets are grafted into the shared
   :class:`~repro.features.base.FeatureSet`; per-category fingerprints
-  keep everyone else's dataset addresses stable), a refit word SOM at
-  the category's original seed offset, and a retrained classifier at
-  its original legacy seed -- so a surgical retrain of category *c* is
-  bit-identical to what a full refit on the same corpus would produce
-  for *c*.
+  keep everyone else's dataset addresses stable), then the pipeline
+  adopts the extended corpus and grafted terms and refits each drifted
+  category through :meth:`~repro.pipeline.ProSysPipeline.fit_word_som`
+  and :meth:`~repro.pipeline.ProSysPipeline.fit_rule`, the per-category
+  units ``fit`` itself runs, at the category's original offset.  So a
+  drifted category's word SOM and rule are exactly what ``fit``'s units
+  produce on the extended corpus under the kept character SOM.  (A full
+  refit would also refit the character SOM on the extended corpus, so it
+  is not bit-identical to a surgical retrain.)
 
-Checkpoints for drifted categories are invalidated and re-saved; the
-updated pipeline can be republished to a model directory for the
-serving layer's manifest-driven hot reload.
+The refit parts are checkpointed when the context has a checkpoint
+store (a sealed stage is replaced); the updated pipeline can be
+republished to a model directory for the serving layer's
+manifest-driven hot reload.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 from repro.corpus.reuters import Corpus
 from repro.features.base import FeatureSet
+from repro.persistence import save_pipeline, save_stage
 from repro.pipeline import ProSysPipeline
 from repro.preprocessing.pipeline import Preprocessor
 from repro.preprocessing.tokenized import TokenizedCorpus
@@ -81,9 +87,8 @@ class RetrainOrchestrator:
     """Turns drift alarms into the cheapest sufficient retrain.
 
     Args:
-        pipeline: the fitted pipeline to update in place.
-        data_store: optional dataset store; reuse/re-encode activity is
-            measured through it.
+        pipeline: the fitted pipeline to update in place.  When it has a
+            ``data_store``, reuse/re-encode activity is measured there.
         monitor: optional :class:`~repro.temporal.detector.DriftMonitor`;
             retrained categories get their detectors reset.
         model_dir: optional directory; when set, the updated pipeline
@@ -94,14 +99,12 @@ class RetrainOrchestrator:
     def __init__(
         self,
         pipeline: ProSysPipeline,
-        data_store=None,
         monitor=None,
         model_dir: Optional[Union[str, Path]] = None,
     ) -> None:
         if not pipeline.is_fitted:
             raise ValueError("retrain needs a fitted pipeline")
         self.pipeline = pipeline
-        self.data_store = data_store
         self.monitor = monitor
         self.model_dir = Path(model_dir) if model_dir is not None else None
 
@@ -139,7 +142,7 @@ class RetrainOrchestrator:
         retrained = tuple(c for c in categories if c in drifted_set)
         ctx.emit("retrain_started", drifted=list(retrained), kept=list(kept))
 
-        store = self.data_store
+        store = pipeline.data_store
         stats_before = store.stats() if store is not None else {}
 
         old_tokenized = pipeline.tokenized
@@ -187,93 +190,40 @@ class RetrainOrchestrator:
                 scope=old_features.scope,
             )
 
-        # 3. Per drifted category: refit the word SOM at the original
-        #    seed offset, encode its extended training split (a store
-        #    miss encoding only this category's documents), and retrain
-        #    the classifier at its original legacy seed.
-        from repro.classify.binary import RlgpBinaryClassifier
-        from repro.gp.trainer import RlgpTrainer
-        from repro.persistence import (
-            save_category_encoder,
-            save_classifier,
-        )
+        # 3. Adopt the extended corpus and grafted terms for everyone.
+        #    Kept categories still filter through their old term sets,
+        #    so their encoders and classifiers remain exactly as fitted.
+        pipeline.tokenized = tokenized
+        pipeline.feature_set = feature_set
 
+        # 4. Per drifted category, fit's own units: the word SOM at the
+        #    category's original offset, then the rule on its extended
+        #    training split (a store miss encoding only this category's
+        #    documents).
         checkpoints = ctx.checkpoints
         for offset, category in enumerate(categories):
             if category not in drifted_set:
                 continue
             with ctx.stage("retrain_category", category=category):
-                encoder = pipeline.encoder.fit_category(
-                    category,
-                    tokenized,
-                    feature_set,
-                    offset,
-                    ctx=ctx.child("word_som", category),
-                )
+                encoder = pipeline.fit_word_som(offset, category, ctx)
                 pipeline.encoder.category_encoders[category] = encoder
-
-                rlgp_ctx = ctx.child("rlgp", category)
-                base_seed = rlgp_ctx.seed_for(
-                    legacy=config.seed + 101 * (offset + 1)
-                )
-                if store is not None:
-                    dataset = store.get_or_encode(
-                        tokenized,
-                        feature_set,
-                        pipeline.encoder,
-                        category,
-                        "train",
-                        ctx=rlgp_ctx,
-                    )
-                else:
-                    dataset = pipeline.encoder.encode_dataset(
-                        tokenized, feature_set, category, "train"
-                    )
-                trainer = RlgpTrainer(
-                    replace(config.gp, seed=base_seed),
-                    use_dss=config.use_dss,
-                    dynamic_pages=config.dynamic_pages,
-                    recurrent=config.recurrent,
-                    fitness=config.fitness,
-                )
-                classifier = RlgpBinaryClassifier.fit(
-                    dataset,
-                    trainer,
-                    n_restarts=config.n_restarts,
-                    base_seed=base_seed,
-                    ctx=rlgp_ctx,
-                )
+                dataset, classifier = pipeline.fit_rule(offset, category, ctx)
                 pipeline.suite.add(classifier)
                 pipeline._train_datasets[category] = dataset
-
                 if checkpoints is not None:
-                    for stage, writer in (
-                        (
-                            f"word_som/{category}",
-                            lambda d, e=encoder: save_category_encoder(e, d),
-                        ),
-                        (
-                            f"rlgp/{category}",
-                            lambda d, c=classifier: save_classifier(c, d),
-                        ),
-                    ):
-                        checkpoints.invalidate(stage)
-                        checkpoints.save(stage, writer)
+                    for kind, part in (("word_som", encoder), ("rlgp", classifier)):
+                        stage = f"{kind}/{category}"
+                        checkpoints.save(
+                            stage,
+                            lambda directory: save_stage(directory, kind, part),
+                        )
                         ctx.emit("checkpoint_saved", stage=stage)
-
-        # 4. Adopt the extended corpus for everyone.  Kept categories
-        #    still filter through their old term sets, so their encoders
-        #    and classifiers remain exactly as fitted.
-        pipeline.tokenized = tokenized
-        pipeline.feature_set = feature_set
 
         if self.monitor is not None:
             for category in retrained:
                 self.monitor.reset(category)
 
         if self.model_dir is not None:
-            from repro.persistence import save_pipeline
-
             save_pipeline(pipeline, self.model_dir)
             ctx.emit("model_published", directory=str(self.model_dir))
 

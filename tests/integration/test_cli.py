@@ -93,8 +93,14 @@ def test_info_describes_model(model_dir, capsys):
 
 
 def test_info_missing_model(tmp_path, capsys):
-    code = main(["info", "--model", str(tmp_path)])
-    assert code == 1
+    # No manifest, one that is not JSON, and one without its config: each
+    # is an error message and exit 1, not a traceback.
+    for text in (None, "{not json", '{"format_version": 1}'):
+        if text is not None:
+            (tmp_path / "manifest.json").write_text(text)
+        code = main(["info", "--model", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_unknown_command_rejected():

@@ -96,32 +96,46 @@ def test_tracking_identical_after_round_trip(fitted, round_tripped, corpus):
     assert restored.words == original.words
 
 
-def test_non_recurrent_rules_reload_as_evolved(corpus, tmp_path):
-    """A reloaded or resumed non-recurrent rule still reads documents by
-    their final word: the flag comes from the manifest's
-    ``config.recurrent`` and, on resume, from the run's config."""
+@pytest.mark.parametrize(
+    "flags",
+    [{"recurrent": False}, {"member_word_filter": False}],
+    ids=["recurrent", "member_word_filter"],
+)
+def test_run_wide_flags_survive_reload_and_resume(corpus, tmp_path, flags):
+    """A reloaded or resumed model reads documents as the fitted one.
+
+    Run-wide flags live in the manifest's ``config`` and in the run's
+    config, not in the part records: a non-recurrent rule still reads
+    documents by their final word, and a model fitted without the
+    Sec. 6.2 member-word test still encodes without it."""
     config = ProSysConfig(
         feature_method="mi",
         n_features=60,
         som_epochs=4,
         gp=GpConfig().small(tournaments=40),
-        recurrent=False,
         seed=13,
+        **flags,
     )
+    categories = ["earn", "grain"]
 
     def fit():
         ctx = RunContext(seed=13, checkpoints=CheckpointStore(tmp_path / "run"))
-        return ProSysPipeline(config).fit(corpus, categories=["earn"], ctx=ctx)
+        return ProSysPipeline(config).fit(corpus, categories=categories, ctx=ctx)
 
     fitted = fit()
     save_pipeline(fitted, tmp_path / "model")
-    docs = corpus.test_documents[:20]
-    expected = fitted.decision_matrix(docs)["earn"]
+    docs = corpus.test_documents
+    expected = fitted.decision_matrix(docs)
     for pipeline in (load_pipeline(tmp_path / "model", corpus), fit()):
-        assert not pipeline.suite.classifiers["earn"].recurrent
-        np.testing.assert_array_equal(
-            pipeline.decision_matrix(docs)["earn"], expected
-        )
+        for category in categories:
+            assert pipeline.suite.classifiers[category].recurrent == config.recurrent
+            assert (
+                pipeline.encoder.encoder_for(category).member_word_filter
+                == config.member_word_filter
+            )
+            np.testing.assert_array_equal(
+                pipeline.decision_matrix(docs)[category], expected[category]
+            )
 
 
 def test_wrong_format_version_rejected(fitted, corpus, tmp_path):

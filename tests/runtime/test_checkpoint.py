@@ -54,14 +54,6 @@ def test_corrupt_sealed_stage_raises_persistence_error(tmp_path):
         store.load("rlgp/earn", _read_payload)
 
 
-def test_invalidate_forces_recompute(tmp_path):
-    store = CheckpointStore(tmp_path)
-    store.save("stage", _write_payload(1))
-    store.invalidate("stage")
-    assert not store.has("stage")
-    store.invalidate("stage")  # idempotent on a missing stage
-
-
 def test_completed_lists_only_sealed_stages(tmp_path):
     store = CheckpointStore(tmp_path)
     store.save("char_som", _write_payload(1))

@@ -10,12 +10,14 @@ re-opened its dataset without encoding anything.
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro import GpConfig, ProSysConfig, ProSysPipeline, make_corpus
 from repro.corpus.reuters import Corpus
 from repro.data import DatasetStore
-from repro.runtime import RunContext
+from repro.persistence import load_rule, load_word_som
+from repro.runtime import CheckpointStore, RunContext
 from repro.runtime.events import EventBus
 from repro.temporal import (
     DriftMonitor,
@@ -93,7 +95,7 @@ def test_retrain_rejects_an_empty_drift_set(fitted):
 # the acceptance scenario
 # ----------------------------------------------------------------------
 def test_drift_is_detected_and_retrained_surgically(
-    fitted, drift_docs_all, store
+    fitted, drift_docs_all, tmp_path
 ):
     pipeline, pre = fitted
     config = _config()
@@ -147,10 +149,15 @@ def test_drift_is_detected_and_retrained_surgically(
         CATEGORIES,
     )
     events = []
-    ctx = RunContext(seed=config.seed, events=EventBus([events.append]))
-    report = RetrainOrchestrator(
-        pipeline, data_store=store, monitor=monitor
-    ).retrain(extended, monitor.drifted(), ctx=ctx)
+    checkpoints = CheckpointStore(tmp_path / "run")
+    ctx = RunContext(
+        seed=config.seed,
+        events=EventBus([events.append]),
+        checkpoints=checkpoints,
+    )
+    report = RetrainOrchestrator(pipeline, monitor=monitor).retrain(
+        extended, monitor.drifted(), ctx=ctx
+    )
 
     # Surgical: only earn was refit; grain's training data re-opened at
     # its original address -- a store hit with nothing encoded for it.
@@ -173,6 +180,25 @@ def test_drift_is_detected_and_retrained_surgically(
     assert recovered >= degraded - 0.05, (
         f"macro F1 did not recover: {degraded:.3f} -> {recovered:.3f}"
     )
+
+    # The retrained parts were checkpointed, and their stages load back
+    # to exactly what the pipeline now holds.
+    assert checkpoints.completed() == ["rlgp__earn", "word_som__earn"]
+    encoder = pipeline.encoder.encoder_for(DRIFTED)
+    restored = checkpoints.load(
+        f"word_som/{DRIFTED}",
+        lambda directory: load_word_som(directory, DRIFTED, pipeline.encoder),
+    )
+    np.testing.assert_array_equal(restored.som.weights, encoder.som.weights)
+    assert restored.selected_units == encoder.selected_units
+    classifier = pipeline.suite.classifiers[DRIFTED]
+    rule = checkpoints.load(
+        f"rlgp/{DRIFTED}",
+        lambda directory: load_rule(directory, DRIFTED, config.recurrent),
+    )
+    assert rule.program.code == classifier.program.code
+    assert rule.threshold == classifier.threshold
+    assert rule.train_fitness == classifier.train_fitness
 
     # Structured reporting went over the bus.
     kinds = [e.kind for e in events]
