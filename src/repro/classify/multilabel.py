@@ -8,11 +8,10 @@ multi-labelled documents are identified naturally.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from repro.classify.binary import RlgpBinaryClassifier
-from repro.encoding.representation import EncodedDataset, EncodedDocument
-from repro.gp.trainer import RlgpTrainer
+from repro.encoding.representation import EncodedDocument
 
 
 @dataclass
@@ -24,54 +23,6 @@ class OneVsRestRlgp:
     """
 
     classifiers: Dict[str, RlgpBinaryClassifier] = field(default_factory=dict)
-
-    @classmethod
-    def fit(
-        cls,
-        datasets: Mapping[str, EncodedDataset],
-        trainer_factory: Callable[[str], RlgpTrainer],
-        n_restarts: int = 1,
-        base_seed_for: Optional[Callable[[str], Optional[int]]] = None,
-        ctx=None,
-        n_jobs: Optional[int] = None,
-    ) -> "OneVsRestRlgp":
-        """Fit one binary classifier per pre-encoded category dataset.
-
-        The per-category fits are independent, so they fan out over
-        :func:`repro.runtime.parallel.parallel_map`; results assemble
-        in ``datasets`` order whatever the completion order, and every
-        category draws its seeds from its own context node, so the
-        suite is identical at any ``n_jobs``.
-
-        Args:
-            datasets: category -> encoded training dataset (ordered).
-            trainer_factory: builds a fresh trainer for a category.
-            n_restarts: independent evolutions per category.
-            base_seed_for: optional category -> base seed (defaults to
-                each trainer's configured seed).
-            ctx: optional :class:`~repro.runtime.context.RunContext`.
-            n_jobs: worker processes; defaults to ``ctx.n_jobs`` (0
-                without a context).
-        """
-        from repro.runtime.parallel import parallel_map
-
-        categories = list(datasets)
-        if n_jobs is None:
-            n_jobs = ctx.n_jobs if ctx is not None else 0
-
-        def fit_category(category: str) -> RlgpBinaryClassifier:
-            return RlgpBinaryClassifier.fit(
-                datasets[category],
-                trainer_factory(category),
-                n_restarts=n_restarts,
-                base_seed=base_seed_for(category) if base_seed_for else None,
-                ctx=ctx.child("rlgp", category) if ctx is not None else None,
-            )
-
-        suite = cls()
-        for classifier in parallel_map(fit_category, categories, n_jobs=n_jobs):
-            suite.add(classifier)
-        return suite
 
     def add(self, classifier: RlgpBinaryClassifier) -> None:
         """Register a category's classifier."""

@@ -413,11 +413,7 @@ def _cmd_track(args: argparse.Namespace) -> int:
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
-    try:
-        manifest = read_manifest(args.model)
-    except PersistenceError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
+    manifest = read_manifest(args.model)
     config = manifest["config"]
     print(f"feature selection : {config['feature_method']}")
     print(f"SOM shapes        : {tuple(config['char_shape'])} chars, "
@@ -869,9 +865,17 @@ _COMMANDS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    A missing or malformed model directory is an ``error:`` line and
+    exit 1 for every command that reads one, not a traceback.
+    """
     args = _build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except PersistenceError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -2,10 +2,12 @@
 
 The expensive half of the paper's pipeline is turning documents into
 SOM-encoded temporal sequences.  This package persists that work: each
-(corpus x encoder x category x split) gets a content address, its packed
-sequences live in checksummed shards on disk, and loading is a
-``numpy.memmap`` straight into :class:`~repro.gp.recurrent.PackedSequences`
--- encode once, train and serve off the stored bytes forever after.
+(corpus x encoder x category x split) gets a content address, its
+sequences live in checksummed shards on disk -- each shard one float64
+row block, every document's rows back to back as in a worker job
+(:func:`~repro.gp.recurrent.join_rows`) -- and loading is a
+``numpy.memmap`` whose per-document views are the sequences: encode
+once, train and serve off the stored bytes forever after.
 """
 
 from repro.data.fingerprint import (
@@ -22,7 +24,6 @@ from repro.data.shards import (
     ShardMeta,
     file_checksum,
     open_shard,
-    shard_sequences,
     write_shard,
 )
 from repro.data.store import (
@@ -33,13 +34,11 @@ from repro.data.store import (
     SequenceDataset,
     StoredDataset,
 )
-from repro.data.writer import DEFAULT_SHARD_BYTES, DEFAULT_SHARD_DOCS, DatasetWriter
+from repro.data.writer import DatasetWriter
 
 __all__ = [
     "COMPLETE_MARKER",
     "DATASET_INDEX",
-    "DEFAULT_SHARD_BYTES",
-    "DEFAULT_SHARD_DOCS",
     "DIGEST_SIZE",
     "DatasetStore",
     "DatasetWriter",
@@ -56,6 +55,5 @@ __all__ = [
     "file_checksum",
     "open_shard",
     "serve_miss_address",
-    "shard_sequences",
     "write_shard",
 ]

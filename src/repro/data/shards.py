@@ -1,18 +1,17 @@
-"""Packed-sequence shards: the on-disk unit of the dataset store.
+"""Row-block shards: the on-disk unit of the dataset store.
 
-A shard is one flat binary file holding the *packed* representation of a
-bounded batch of encoded documents -- exactly the padded, length-sorted
-``(n_docs, max_len, n_inputs)`` float64 array that
-:class:`~repro.gp.recurrent.PackedSequences` feeds to the RLGP
-evaluators.  Storing the packed form (rather than one blob per document)
-is what makes loading zero-copy: :func:`open_shard` memory-maps the file
-and hands the map *directly* to ``PackedSequences``, so training and
-serving score straight off disk-backed arrays and the OS page cache,
-not a deserialised copy.
+A shard is one flat binary file holding a bounded batch of encoded
+documents as one row block (:func:`~repro.gp.recurrent.join_rows`):
+every document's float64 rows back to back, in document order, with no
+padding -- the block a served worker job carries.  :func:`open_shard`
+memory-maps the file and cuts it back into one view per document
+(:func:`~repro.gp.recurrent.split_rows`), so training and serving read
+straight off disk-backed arrays and the OS page cache, not a
+deserialised copy.
 
-Everything else about a shard -- per-document lengths, the sort order,
-document ids, labels, optional token fingerprints, and the SHA-256
-checksum of the payload -- lives in the dataset's ``index.json`` as a
+Everything else about a shard -- per-document row counts, document ids,
+labels, optional token fingerprints, and the SHA-256 checksum of the
+payload -- lives in the dataset's ``index.json`` as a
 :class:`ShardMeta` record.  The checksum is verified before the payload
 is mapped; a flipped bit or truncated file surfaces as a
 :class:`~repro.errors.PersistenceError` naming the shard, never as a
@@ -29,11 +28,14 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.errors import PersistenceError
-from repro.gp.recurrent import PackedSequences
+from repro.gp.recurrent import join_rows, split_rows
 
 #: On-disk element type: little-endian float64, matching the encoders'
 #: native output so round-trips are bit-identical.
 SHARD_DTYPE = np.dtype("<f8")
+
+#: Columns of an encoded row: (normalised BMU index, membership value).
+N_INPUTS = 2
 
 _CHECKSUM_CHUNK = 1 << 20
 
@@ -50,38 +52,31 @@ def file_checksum(path: Union[str, Path]) -> str:
     return f"sha256:{digest.hexdigest()}"
 
 
-def active_counts_for(lengths: np.ndarray, max_len: int) -> np.ndarray:
-    """Recompute ``PackedSequences.active_counts`` from sorted lengths."""
-    steps = np.arange(max_len)
-    return np.searchsorted(-lengths, -(steps + 1), side="right")
-
-
 @dataclass(frozen=True)
 class ShardMeta:
     """Index record of one shard (everything but the payload bytes).
 
     Attributes:
         name: payload file name inside the dataset directory.
-        n_docs / max_len / n_inputs: payload array shape.
-        nbytes: exact payload size (cheap truncation check).
+        n_docs: documents in the shard.
+        n_inputs: columns of every row (2 for the paper's encoding).
+        nbytes: payload size, ``sum(lengths) * n_inputs * 8``.
         checksum: ``sha256:<hex>`` of the payload file.
-        lengths: per-document word counts, in the payload's sorted order.
-        order: original index (within the shard) of each sorted row.
-        doc_ids: document ids in *original* (pre-sort) order.
-        labels: +/-1 (or 0 for unlabelled serve traffic), original order.
-        fingerprints: optional per-document token fingerprints (original
-            order); recorded by the serve write-back path so a restarted
-            service can warm its cache without re-tokenising.
+        lengths: per-document row (word) counts, in document order.
+        doc_ids: document ids, in document order.
+        labels: +/-1 (or 0 for unlabelled serve traffic), in document
+            order.
+        fingerprints: optional per-document token fingerprints, in
+            document order; recorded by the serve write-back path so a
+            restarted service can warm its cache without re-tokenising.
     """
 
     name: str
     n_docs: int
-    max_len: int
     n_inputs: int
     nbytes: int
     checksum: str
     lengths: Tuple[int, ...]
-    order: Tuple[int, ...]
     doc_ids: Tuple[int, ...]
     labels: Tuple[int, ...]
     fingerprints: Optional[Tuple[str, ...]] = None
@@ -91,12 +86,10 @@ class ShardMeta:
         record = {
             "name": self.name,
             "n_docs": self.n_docs,
-            "max_len": self.max_len,
             "n_inputs": self.n_inputs,
             "nbytes": self.nbytes,
             "checksum": self.checksum,
             "lengths": list(self.lengths),
-            "order": list(self.order),
             "doc_ids": list(self.doc_ids),
             "labels": list(self.labels),
         }
@@ -115,8 +108,8 @@ class ShardMeta:
         if not isinstance(payload, dict):
             raise PersistenceError(f"{source}: shard entry must be an object")
         required = (
-            "name", "n_docs", "max_len", "n_inputs", "nbytes",
-            "checksum", "lengths", "order", "doc_ids", "labels",
+            "name", "n_docs", "n_inputs", "nbytes",
+            "checksum", "lengths", "doc_ids", "labels",
         )
         missing = [key for key in required if key not in payload]
         if missing:
@@ -127,12 +120,10 @@ class ShardMeta:
             meta = cls(
                 name=str(payload["name"]),
                 n_docs=int(payload["n_docs"]),
-                max_len=int(payload["max_len"]),
                 n_inputs=int(payload["n_inputs"]),
                 nbytes=int(payload["nbytes"]),
                 checksum=str(payload["checksum"]),
                 lengths=tuple(int(v) for v in payload["lengths"]),
-                order=tuple(int(v) for v in payload["order"]),
                 doc_ids=tuple(int(v) for v in payload["doc_ids"]),
                 labels=tuple(int(v) for v in payload["labels"]),
                 fingerprints=(
@@ -145,13 +136,17 @@ class ShardMeta:
             raise PersistenceError(
                 f"{source}: malformed shard entry ({error})"
             ) from error
-        for field_name in ("lengths", "order", "doc_ids", "labels"):
+        for field_name in ("lengths", "doc_ids", "labels"):
             if len(getattr(meta, field_name)) != meta.n_docs:
                 raise PersistenceError(
                     f"{source}: shard {meta.name!r} declares {meta.n_docs} "
                     f"documents but {field_name} has "
                     f"{len(getattr(meta, field_name))} entries"
                 )
+        if any(length < 0 for length in meta.lengths):
+            raise PersistenceError(
+                f"{source}: shard {meta.name!r} has a negative row count"
+            )
         if meta.fingerprints is not None and len(meta.fingerprints) != meta.n_docs:
             raise PersistenceError(
                 f"{source}: shard {meta.name!r} fingerprints do not align "
@@ -166,29 +161,27 @@ def write_shard(
     sequences: Sequence[np.ndarray],
     doc_ids: Sequence[int],
     labels: Sequence[int],
-    n_inputs: int,
     fingerprints: Optional[Sequence[str]] = None,
 ) -> ShardMeta:
-    """Pack ``sequences`` and write one shard file; returns its meta.
+    """Write ``sequences`` as one row block; returns the shard's meta.
 
-    The payload is the canonical ``PackedSequences`` layout, so a later
-    :func:`open_shard` reconstructs bit-identical arrays.
+    A later :func:`open_shard` reads every sequence back bit for bit.
     """
     if not (len(sequences) == len(doc_ids) == len(labels)):
         raise ValueError("sequences, doc_ids and labels must align")
-    packed = PackedSequences.from_sequences(sequences, n_inputs)
-    data = np.ascontiguousarray(packed.inputs, dtype=SHARD_DTYPE)
+    lengths, block = join_rows(sequences)
+    if block.size != sum(lengths) * N_INPUTS:
+        raise ValueError(f"every sequence must have {N_INPUTS} columns")
+    data = np.ascontiguousarray(block, dtype=SHARD_DTYPE)
     path = Path(directory) / name
     data.tofile(path)
     return ShardMeta(
         name=name,
         n_docs=len(sequences),
-        max_len=int(data.shape[1]),
-        n_inputs=n_inputs,
+        n_inputs=N_INPUTS,
         nbytes=data.nbytes,
         checksum=file_checksum(path),
-        lengths=tuple(int(v) for v in packed.lengths),
-        order=tuple(int(v) for v in packed.order),
+        lengths=tuple(lengths),
         doc_ids=tuple(int(v) for v in doc_ids),
         labels=tuple(int(v) for v in labels),
         fingerprints=tuple(fingerprints) if fingerprints is not None else None,
@@ -197,8 +190,8 @@ def write_shard(
 
 def open_shard(
     directory: Union[str, Path], meta: ShardMeta, verify: bool = True
-) -> PackedSequences:
-    """Memory-map one shard into a :class:`PackedSequences` (zero-copy).
+) -> List[np.ndarray]:
+    """Memory-map one shard; each document's rows are a view of the map.
 
     Args:
         verify: check the SHA-256 payload checksum before mapping
@@ -212,7 +205,8 @@ def open_shard(
     path = Path(directory) / meta.name
     if not path.exists():
         raise PersistenceError(f"{path}: shard payload is missing")
-    expected = meta.n_docs * meta.max_len * meta.n_inputs * SHARD_DTYPE.itemsize
+    rows = sum(meta.lengths)
+    expected = rows * meta.n_inputs * SHARD_DTYPE.itemsize
     actual = path.stat().st_size
     if actual != expected:
         raise PersistenceError(
@@ -226,29 +220,11 @@ def open_shard(
                 f"{path}: shard checksum mismatch ({checksum} != "
                 f"{meta.checksum}); the payload is corrupt"
             )
-    if meta.n_docs == 0:
-        inputs: np.ndarray = np.zeros((0, max(meta.max_len, 1), meta.n_inputs))
+    if rows == 0:
+        # An empty file cannot be mapped; its documents are all empty.
+        block: np.ndarray = np.empty((0, meta.n_inputs), dtype=SHARD_DTYPE)
     else:
-        inputs = np.memmap(
-            path,
-            dtype=SHARD_DTYPE,
-            mode="r",
-            shape=(meta.n_docs, meta.max_len, meta.n_inputs),
+        block = np.memmap(
+            path, dtype=SHARD_DTYPE, mode="r", shape=(rows, meta.n_inputs)
         )
-    lengths = np.asarray(meta.lengths, dtype=np.int64)
-    return PackedSequences(
-        inputs=inputs,
-        lengths=lengths,
-        order=np.asarray(meta.order, dtype=np.int64),
-        active_counts=active_counts_for(lengths, int(inputs.shape[1])),
-    )
-
-
-def shard_sequences(packed: PackedSequences) -> List[np.ndarray]:
-    """Original-order per-document views into a shard's mapped payload.
-
-    Pure slicing -- each returned array is a window onto the memmap, so
-    materialising a million-document corpus costs list overhead, not a
-    copy of the data.
-    """
-    return packed.unpack()
+    return split_rows(block, meta.lengths)

@@ -5,7 +5,7 @@
     <root>/
       ab/ab12cd.../          one dataset, at its content address
         index.json           provenance + shard index (+ checksums)
-        shard-00000.bin      packed float64 payload (memmapped on read)
+        shard-00000.bin      float64 row block (memmapped on read)
         _COMPLETE            sealing marker, written last
       tmp/                   in-flight writers (swept on construction)
 
@@ -16,9 +16,10 @@ corpus, the encoder weights, the feature selection or the encoding
 parameters misses cleanly.  :meth:`get_or_encode` is the one call sites
 use: hit -> a :class:`StoredDataset` whose sequences are zero-copy
 memmap views; miss -> encode, persist, return.  Corruption (checksum or
-index damage) is surfaced as a
-:class:`~repro.errors.PersistenceError`, counted, the damaged dataset
-discarded, and the caller transparently falls back to re-encoding.
+index damage) and a dataset written in another store format are
+surfaced as a :class:`~repro.errors.PersistenceError`, counted, the
+dataset discarded, and the caller transparently falls back to
+re-encoding: an old dataset is never read as rows.
 
 Serving reads the store in its own process only: ``serve --store``
 warms the encoded-sequence LRU from a model's serve-miss dataset and
@@ -28,8 +29,8 @@ their job messages, never a store reference.
 Observability: hit/miss/corruption/shard/byte counters live on a
 :class:`~repro.serve.metrics.MetricsRegistry` -- by default the shared
 process-wide registry that ``repro.serve`` merges into ``/metrics`` --
-and per-shard progress events go to any
-:class:`~repro.runtime.events.EventBus` attached.
+and :meth:`DatasetStore.get_or_encode` reports hits, misses,
+corruption and writes as runtime events on the caller's run context.
 """
 
 from __future__ import annotations
@@ -46,13 +47,12 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.data.fingerprint import dataset_address
-from repro.data.shards import ShardMeta, open_shard, shard_sequences
-from repro.data.writer import DEFAULT_SHARD_BYTES, DEFAULT_SHARD_DOCS, DatasetWriter
+from repro.data.shards import ShardMeta, open_shard
+from repro.data.writer import DatasetWriter
 from repro.errors import PersistenceError
-from repro.gp.recurrent import PackedSequences
-from repro.runtime.events import Event, EventBus
 
-FORMAT_VERSION = 1
+#: Version 2: a shard is one unpadded row block in document order.
+FORMAT_VERSION = 2
 
 DATASET_INDEX = "index.json"
 
@@ -112,14 +112,12 @@ class StoredDataset(SequenceDataset):
         directory: Path,
         payload: dict,
         shard_metas: List[ShardMeta],
-        packed_shards: List[PackedSequences],
+        sequences: List[np.ndarray],
     ) -> None:
-        sequences: List[np.ndarray] = []
         doc_ids: List[int] = []
         labels: List[int] = []
         fingerprints: List[Optional[str]] = []
-        for meta, packed in zip(shard_metas, packed_shards):
-            sequences.extend(shard_sequences(packed))
+        for meta in shard_metas:
             doc_ids.extend(meta.doc_ids)
             labels.extend(meta.labels)
             if meta.fingerprints is not None:
@@ -136,26 +134,12 @@ class StoredDataset(SequenceDataset):
         self.directory = directory
         self.meta = payload
         self.split = str(payload.get("split", ""))
-        self.n_inputs = int(payload.get("n_inputs", 2))
         self.shard_metas = shard_metas
-        self._packed_shards = packed_shards
         self.fingerprints: Tuple[Optional[str], ...] = tuple(fingerprints)
 
     @property
     def nbytes(self) -> int:
         return sum(meta.nbytes for meta in self.shard_metas)
-
-    def packed(self) -> PackedSequences:
-        """The whole dataset as one :class:`PackedSequences`.
-
-        Single-shard datasets (the common case under the default shard
-        bounds) return the memmap-backed pack itself -- zero copies all
-        the way into the evaluator.  Multi-shard datasets are merged,
-        which re-pads across shard boundaries.
-        """
-        if len(self._packed_shards) == 1:
-            return self._packed_shards[0]
-        return PackedSequences.from_sequences(self.sequences, self.n_inputs)
 
 
 def dataset_path(root: Union[str, Path], key: str) -> Path:
@@ -194,27 +178,11 @@ class DatasetStore:
             the process-wide shared registry
             (:func:`repro.gp.engine.shared_metrics`), which the serving
             layer already folds into its ``/metrics`` exposition.
-        events: optional event bus for per-shard/per-dataset progress.
-        verify_checksums: verify shard SHA-256s on open (default; turn
-            off only for benchmarks isolating raw memmap cost).
-        shard_docs / shard_bytes: writer flush bounds.
     """
 
-    def __init__(
-        self,
-        root: Union[str, Path],
-        metrics=None,
-        events: Optional[EventBus] = None,
-        verify_checksums: bool = True,
-        shard_docs: int = DEFAULT_SHARD_DOCS,
-        shard_bytes: int = DEFAULT_SHARD_BYTES,
-    ) -> None:
+    def __init__(self, root: Union[str, Path], metrics=None) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.events = events
-        self.verify_checksums = verify_checksums
-        self.shard_docs = shard_docs
-        self.shard_bytes = shard_bytes
         if metrics is None:
             from repro.gp.engine import shared_metrics
 
@@ -282,14 +250,19 @@ class DatasetStore:
     # ------------------------------------------------------------------
     # reading
     # ------------------------------------------------------------------
-    def open(self, key: str, verify: Optional[bool] = None) -> StoredDataset:
+    def open(self, key: str, verify: bool = True) -> StoredDataset:
         """Open a sealed dataset, verifying shard checksums.
+
+        Args:
+            verify: check each shard's SHA-256 before mapping it (skip
+                only right after writing the dataset, or to time the
+                bare memmap).
 
         Raises:
             PersistenceError: unsealed/missing dataset, malformed index,
-                truncated or corrupt shard -- always naming the path.
+                another store format, truncated or corrupt shard --
+                always naming the path.
         """
-        verify = self.verify_checksums if verify is None else verify
         start = time.perf_counter()
         directory = self.path_for(key)
         if not (directory / COMPLETE_MARKER).exists():
@@ -305,24 +278,19 @@ class DatasetStore:
         if not isinstance(shards_payload, list):
             raise PersistenceError(f"{source}: 'shards' must be a list")
         metas = [ShardMeta.from_payload(entry, source) for entry in shards_payload]
-        packed = [open_shard(directory, meta, verify=verify) for meta in metas]
-        stored = StoredDataset(key, directory, payload, metas, packed)
+        sequences: List[np.ndarray] = []
+        for meta in metas:
+            sequences.extend(open_shard(directory, meta, verify=verify))
+        stored = StoredDataset(key, directory, payload, metas, sequences)
         self._count("shards_read", len(stored.shard_metas))
         self._count("mmap_bytes", stored.nbytes)
         self._load_seconds.observe(time.perf_counter() - start)
-        self._emit(
-            "data_dataset_opened",
-            key=key,
-            n_documents=len(stored),
-            n_shards=len(stored.shard_metas),
-            nbytes=stored.nbytes,
-        )
         return stored
 
     # ------------------------------------------------------------------
     # writing
     # ------------------------------------------------------------------
-    def writer(self, key: str, n_inputs: int = 2) -> DatasetWriter:
+    def writer(self, key: str) -> DatasetWriter:
         """A streaming writer targeting ``key`` (publish via commit)."""
         self.path_for(key)  # validate the key early
         tmp_root = self.root / "tmp"
@@ -333,10 +301,7 @@ class DatasetStore:
         return DatasetWriter(
             directory,
             key,
-            n_inputs=n_inputs,
-            shard_docs=self.shard_docs,
-            shard_bytes=self.shard_bytes,
-            on_shard=lambda meta: self._on_shard(key, meta),
+            on_shard=lambda meta: self._count("shards_written"),
             publish=self._publish,
         )
 
@@ -345,15 +310,16 @@ class DatasetStore:
         key: str,
         items: Sequence[Tuple[int, int, np.ndarray, Optional[str]]],
         extra_meta: Optional[dict] = None,
-        extend: bool = True,
     ) -> Optional[StoredDataset]:
         """Append ``(doc_id, label, sequence, fingerprint)`` items at ``key``.
 
-        Incremental ingest: when the dataset already exists (and
-        ``extend``), its sealed shards are adopted (hard-linked, not
-        re-encoded) and only genuinely new documents -- deduplicated by
-        fingerprint -- are packed into fresh shards.  Returns the
-        re-opened dataset, or None when everything was a duplicate.
+        Incremental ingest: when the dataset already exists, its sealed
+        shards are adopted (hard-linked, not re-encoded) and only
+        genuinely new documents -- deduplicated by fingerprint -- are
+        written into fresh shards.  A dataset that cannot be opened
+        (damaged, or written by another store format) is discarded and
+        rebuilt from the new items.  Returns the re-opened dataset, or
+        None when everything was a duplicate.
 
         The read-extend-publish cycle is serialized per key (concurrent
         ingests of the same key would each adopt the same base shards
@@ -363,7 +329,7 @@ class DatasetStore:
         """
         with self._write_lock(key):
             with self.writer(key) as writer:
-                if extend and self.has(key):
+                if self.has(key):
                     try:
                         writer.link_shards_from(self.open(key))
                     except PersistenceError:
@@ -402,14 +368,15 @@ class DatasetStore:
         """The store-backed replacement for ``encoder.encode_dataset``.
 
         Hit: the stored dataset, scoring off memmapped shards.  Miss (or
-        corruption, after discarding the damaged dataset): encode from
-        scratch, persist, and return the freshly encoded dataset --
-        either way the sequences are bit-identical.
+        a dataset that cannot be opened -- damaged, or written by another
+        store format -- after discarding it): encode from scratch,
+        persist, and return the freshly encoded dataset -- either way
+        the sequences are bit-identical.
 
         Args:
             ctx: optional :class:`~repro.runtime.context.RunContext`;
-                hit/miss/corruption and per-shard progress are emitted
-                as runtime events on it.
+                hits, misses, corruption and writes are emitted as
+                runtime events on it.
         """
         key = self.dataset_key(tokenized, feature_set, encoder, category, split)
         if self.has(key):
@@ -428,7 +395,6 @@ class DatasetStore:
             except PersistenceError as error:
                 self._count("corrupt")
                 self.discard(key)
-                self._emit("data_dataset_corrupt", key=key, error=str(error))
                 if ctx is not None:
                     ctx.emit(
                         "dataset_store_corrupt",
@@ -498,23 +464,6 @@ class DatasetStore:
             self._local[name] += amount
         self._counters[name].inc(amount)
 
-    def _emit(self, kind: str, **payload) -> None:
-        if self.events is not None:
-            key = payload.get("key", "")
-            self.events.emit(
-                Event(kind=kind, path=f"data/{key[:12]}", payload=payload)
-            )
-
-    def _on_shard(self, key: str, meta: ShardMeta) -> None:
-        self._count("shards_written")
-        self._emit(
-            "data_shard_written",
-            key=key,
-            shard=meta.name,
-            n_docs=meta.n_docs,
-            nbytes=meta.nbytes,
-        )
-
     def _publish(self, tmp_directory: Path, key: str) -> Path:
         """Atomically move a sealed temp directory to its address."""
         final = self.path_for(key)
@@ -539,7 +488,6 @@ class DatasetStore:
                 else:
                     raise
         self._count("datasets_written")
-        self._emit("data_dataset_sealed", key=key)
         return final
 
     def _sweep_tmp(self) -> None:

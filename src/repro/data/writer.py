@@ -1,16 +1,15 @@
 """Bounded-memory streaming writer with atomic commit.
 
 A :class:`DatasetWriter` accumulates encoded documents and flushes them
-to shard files as soon as either bound (document count or *padded*
-payload bytes -- the size of the packed array a flush materialises) is
-reached, so materialising a corpus never holds more than one shard in
-memory.  Everything is written into a private temp directory under the
-store root; :meth:`commit` seals it with the index and a ``_COMPLETE``
-marker (written *last*, the same discipline as
-``repro.runtime.checkpoint``) and publishes it with a single atomic
-rename.  A crash at any point leaves either the old dataset or no
-dataset -- never a half-written one -- and the orphaned temp directory
-is swept by the store on its next construction.
+to shard files as soon as either bound (:data:`SHARD_DOCS` documents or
+:data:`SHARD_BYTES` bytes of rows) is reached, so materialising a corpus
+never holds more than one shard in memory.  Everything is written into
+a private temp directory under the store root; :meth:`commit` seals it
+with the index and a ``_COMPLETE`` marker (written *last*, the same
+discipline as ``repro.runtime.checkpoint``) and publishes it with a
+single atomic rename.  A crash at any point leaves either the old
+dataset or no dataset -- never a half-written one -- and the orphaned
+temp directory is swept by the store on its next construction.
 
 Incremental ingest: :meth:`link_shards_from` adopts the sealed shards of
 an existing dataset (hard-linking when the filesystem allows, copying
@@ -28,12 +27,13 @@ from typing import Callable, List, Optional, Sequence, Set
 
 import numpy as np
 
-from repro.data.shards import SHARD_DTYPE, ShardMeta, write_shard
+from repro.data.shards import N_INPUTS, ShardMeta, write_shard
 from repro.errors import PersistenceError
 
-#: Default shard bounds: whichever is hit first triggers a flush.
-DEFAULT_SHARD_DOCS = 2048
-DEFAULT_SHARD_BYTES = 64 << 20
+#: Shard bounds: whichever is hit first triggers a flush.  Read at each
+#: add, so a test can lower them to spread a dataset over several shards.
+SHARD_DOCS = 2048
+SHARD_BYTES = 64 << 20
 
 
 class DatasetWriter:
@@ -49,10 +49,8 @@ class DatasetWriter:
         directory: private temp directory (inside the store root, so the
             publishing rename never crosses filesystems).
         key: the content address being written.
-        n_inputs: sequence width (2 for the paper's encoding).
-        shard_docs / shard_bytes: flush bounds.
-        on_shard: progress callback invoked with each sealed
-            :class:`ShardMeta` (the store wires runtime events here).
+        on_shard: callback invoked with each sealed :class:`ShardMeta`
+            (the store counts shards here).
         publish: callback that atomically moves the sealed temp
             directory to its final address.
     """
@@ -61,21 +59,11 @@ class DatasetWriter:
         self,
         directory: Path,
         key: str,
-        n_inputs: int = 2,
-        shard_docs: int = DEFAULT_SHARD_DOCS,
-        shard_bytes: int = DEFAULT_SHARD_BYTES,
         on_shard: Optional[Callable[[ShardMeta], None]] = None,
         publish: Optional[Callable[[Path, str], Path]] = None,
     ) -> None:
-        if shard_docs < 1:
-            raise ValueError(f"shard_docs must be >= 1, got {shard_docs}")
-        if shard_bytes < 1:
-            raise ValueError(f"shard_bytes must be >= 1, got {shard_bytes}")
         self.directory = Path(directory)
         self.key = key
-        self.n_inputs = n_inputs
-        self.shard_docs = shard_docs
-        self.shard_bytes = shard_bytes
         self.metas: List[ShardMeta] = []
         self._on_shard = on_shard
         self._publish = publish
@@ -83,7 +71,7 @@ class DatasetWriter:
         self._doc_ids: List[int] = []
         self._labels: List[int] = []
         self._fingerprints: List[Optional[str]] = []
-        self._max_rows = 0  # longest buffered sequence, in rows
+        self._nbytes = 0  # bytes of the buffered rows
         self._seen_fingerprints: Set[str] = set()
         self._closed = False
 
@@ -116,27 +104,13 @@ class DatasetWriter:
             if fingerprint in self._seen_fingerprints:
                 return
             self._seen_fingerprints.add(fingerprint)
-        sequence = np.asarray(sequence, dtype=float).reshape(-1, self.n_inputs)
-        rows = max(len(sequence), 1)
-        # The byte bound tracks the *padded* payload write_shard builds
-        # (every document padded to the shard's max length), not the sum
-        # of raw sequence bytes -- one long document would otherwise
-        # inflate a shard of short ones far past shard_bytes.  A new
-        # longest document that would blow the projection seals the
-        # buffered shorts first, so the padding never applies to them.
-        if rows > self._max_rows and self._sequences:
-            if self._padded_nbytes(rows, len(self._sequences) + 1) > self.shard_bytes:
-                self.flush()
+        sequence = np.asarray(sequence, dtype=float).reshape(-1, N_INPUTS)
         self._sequences.append(sequence)
         self._doc_ids.append(int(doc_id))
         self._labels.append(int(label))
         self._fingerprints.append(fingerprint)
-        self._max_rows = max(self._max_rows, rows)
-        if (
-            len(self._sequences) >= self.shard_docs
-            or self._padded_nbytes(self._max_rows, len(self._sequences))
-            >= self.shard_bytes
-        ):
+        self._nbytes += sequence.nbytes
+        if len(self._sequences) >= SHARD_DOCS or self._nbytes >= SHARD_BYTES:
             self.flush()
 
     def add_dataset(self, dataset) -> None:
@@ -185,7 +159,6 @@ class DatasetWriter:
             self._sequences,
             self._doc_ids,
             self._labels,
-            self.n_inputs,
             fingerprints=fingerprints,
         )
         self.metas.append(meta)
@@ -193,7 +166,7 @@ class DatasetWriter:
         self._doc_ids = []
         self._labels = []
         self._fingerprints = []
-        self._max_rows = 0
+        self._nbytes = 0
         if self._on_shard is not None:
             self._on_shard(meta)
         return meta
@@ -233,10 +206,6 @@ class DatasetWriter:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _padded_nbytes(self, max_rows: int, n_docs: int) -> int:
-        """Size of the packed (padded) array a flush would materialise."""
-        return max_rows * n_docs * self.n_inputs * SHARD_DTYPE.itemsize
-
     def _next_shard_name(self) -> str:
         return f"shard-{len(self.metas):05d}.bin"
 
@@ -248,7 +217,6 @@ class DatasetWriter:
         payload = {
             "format_version": FORMAT_VERSION,
             "key": self.key,
-            "n_inputs": self.n_inputs,
             "n_documents": self.n_documents,
             "shards": [meta.payload() for meta in self.metas],
         }

@@ -11,12 +11,18 @@ evaluator consumes.  :class:`RecurrentEvaluator` is the reference: it runs
 :meth:`~repro.gp.program.Program.run_sequence` one document at a time.
 The production evaluator is :class:`~repro.gp.engine.FusedEngine`, which
 is bit-identical to it (differential-tested in the suite).
+
+Between processes and on disk a batch of sequences travels unpadded:
+:func:`join_rows` lays every sequence's float64 rows back to back beside
+their row counts, and :func:`split_rows` cuts the block back into one
+view per sequence.  A worker job and a dataset-store shard are both this
+block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -124,6 +130,27 @@ class RecurrentEvaluator:
             [program.run_sequence(seq)[out_reg] for seq in packed.unpack()],
             dtype=float,
         )
+
+
+def join_rows(sequences: Sequence[np.ndarray]) -> Tuple[List[int], np.ndarray]:
+    """Each sequence's row count, and every sequence's float64 rows
+    concatenated in order into one block."""
+    arrays = [np.asarray(sequence, dtype=np.float64) for sequence in sequences]
+    rows = [array for array in arrays if len(array)]
+    # With no rows at all (no sequences, or only empty ones) the block is
+    # empty too; np.concatenate refuses an empty list.
+    block = np.concatenate(rows) if rows else np.empty((0, 0))
+    return [len(array) for array in arrays], block
+
+
+def split_rows(block: np.ndarray, lengths: Sequence[int]) -> List[np.ndarray]:
+    """One view of ``block`` per sequence, ``lengths`` rows each."""
+    views = []
+    start = 0
+    for length in lengths:
+        views.append(block[start:start + length])
+        start += length
+    return views
 
 
 def final_words(sequences: Sequence[np.ndarray]) -> List[np.ndarray]:

@@ -12,7 +12,9 @@ checks first.  The records live in two containers:
   ``manifest.json`` nests every record (``char_som``, ``encoders``,
   ``classifiers``) beside the configuration and feature selection, and
   ``arrays.npz`` holds every part's arrays under a per-part prefix
-  (``char_som_``, ``word_som_<category>_``);
+  (``char_som_``, ``word_som_<category>_``).  A save replaces
+  ``arrays.npz`` first and ``manifest.json`` last, each atomically, so
+  a hot reload keyed on the manifest never reads a torn model;
 * a checkpoint stage (:func:`save_stage` plus one loader per part), which
   ``repro.runtime.CheckpointStore`` seals so an interrupted fit resumes:
   ``stage.json`` holds one record inside a ``format_version``/``kind``
@@ -32,8 +34,9 @@ tracking traces all match the pipeline that was saved.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
-from typing import Dict, Mapping, Tuple, Union
+from typing import BinaryIO, Callable, Dict, Mapping, Tuple, Union
 
 import numpy as np
 
@@ -411,9 +414,31 @@ def save_pipeline(pipeline: ProSysPipeline, directory: Union[str, Path]) -> Path
     for category, classifier in pipeline.suite.classifiers.items():
         manifest["classifiers"][category], _ = _write_rule(classifier)
 
-    (directory / "manifest.json").write_text(json.dumps(manifest, indent=2))
-    np.savez_compressed(directory / "arrays.npz", **arrays)
+    # Arrays first, manifest last: the manifest's change is what a hot
+    # reload waits for, and by then the arrays it names are in place.
+    _replace_file(
+        directory / "arrays.npz",
+        lambda handle: np.savez_compressed(handle, **arrays),
+    )
+    _replace_file(
+        directory / "manifest.json",
+        lambda handle: handle.write(json.dumps(manifest, indent=2).encode()),
+    )
     return directory
+
+
+def _replace_file(path: Path, write: Callable[[BinaryIO], object]) -> None:
+    """Write ``path`` through a temporary file beside it, then
+    ``os.replace`` it into place: a reader sees the old file or the new
+    one, never a partial one."""
+    temporary = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with open(temporary, "xb") as handle:
+            write(handle)
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
 
 
 def load_pipeline(directory: Union[str, Path], corpus: Corpus) -> ProSysPipeline:

@@ -13,11 +13,13 @@ round trips as there are workers, not categories.
 Transport: every worker reads its own task queue, and the parent assigns
 a job to the live worker with the fewest unfinished jobs when it submits
 it.  A job is one message on that queue, ``(job_id, layout, row counts,
-block)``: ``block`` holds every sequence of the job concatenated as
-float64 rows, and the worker slices it back into one view per sequence.
-A served job is a few encoded words per document and category, so one
-pickled block is all the transport there is; the sequences it carries
-are counted in ``pool_pickled_sequences_total``.
+block)``: :func:`~repro.gp.recurrent.join_rows` lays every sequence of
+the job back to back as float64 rows, the same block a dataset-store
+shard holds on disk, and the worker cuts it back into one view per
+sequence with :func:`~repro.gp.recurrent.split_rows`.  A served job is
+a few encoded words per document and category, so one pickled block is
+all the transport there is; the sequences it carries are counted in
+``pool_pickled_sequences_total``.
 
 Supervision: the parent knows which worker holds each job, so when a
 worker dies, busy or idle, the monitor thread starts a replacement,
@@ -51,6 +53,7 @@ import numpy as np
 
 from repro.classify.binary import RlgpBinaryClassifier
 from repro.gp.engine import shared_metrics
+from repro.gp.recurrent import join_rows, split_rows
 from repro.runtime.parallel import split_evenly
 from repro.serve.metrics import MetricsRegistry
 
@@ -85,30 +88,15 @@ def _engine_counter_values() -> Dict[str, float]:
 
 
 def _pack_job(sequences_by_category: Mapping[str, Sequence]):
-    """A job's ``(category, count)`` layout, the row count of each
-    sequence, and every sequence's rows concatenated into one block."""
+    """A job's ``(category, count)`` layout, then the row counts and the
+    row block of all its sequences (:func:`join_rows`)."""
     layout: List[Tuple[str, int]] = []
-    lengths: List[int] = []
-    rows: List[np.ndarray] = []
-    for category, sequences in sequences_by_category.items():
-        arrays = [np.asarray(sequence, dtype=np.float64) for sequence in sequences]
-        layout.append((category, len(arrays)))
-        lengths.extend(len(array) for array in arrays)
-        rows.extend(array for array in arrays if len(array))
-    # With no rows at all (no sequences, or only empty ones) the block is
-    # empty too; np.concatenate refuses an empty list.
-    block = np.concatenate(rows) if rows else np.empty((0, 0))
+    sequences: List = []
+    for category, category_sequences in sequences_by_category.items():
+        layout.append((category, len(category_sequences)))
+        sequences.extend(category_sequences)
+    lengths, block = join_rows(sequences)
     return layout, lengths, block
-
-
-def _unpack_rows(block: np.ndarray, lengths: Sequence[int]) -> List[np.ndarray]:
-    """One view of ``block`` per sequence, ``lengths`` rows each."""
-    views = []
-    start = 0
-    for length in lengths:
-        views.append(block[start:start + length])
-        start += length
-    return views
 
 
 def _score(classifiers, layout, sequences) -> Dict[str, np.ndarray]:
@@ -154,7 +142,7 @@ def _worker_main(classifiers, task_queue, result_queue):
             # invisible to the parent; ship the per-job deltas back so
             # the service's /metrics reflects worker activity.
             before = _engine_counter_values()
-            values = _score(classifiers, layout, _unpack_rows(block, lengths))
+            values = _score(classifiers, layout, split_rows(block, lengths))
             deltas = {
                 name: after - before.get(name, 0.0)
                 for name, after in _engine_counter_values().items()

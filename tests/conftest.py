@@ -6,12 +6,17 @@ therefore not mutate these fixtures.
 
 from __future__ import annotations
 
+import json
+
+import numpy as np
 import pytest
 
 from repro.corpus import make_corpus
+from repro.data.shards import file_checksum
 from repro.encoding import HierarchicalSomEncoder
 from repro.features import MutualInformationSelector
 from repro.gp.config import GpConfig
+from repro.gp.recurrent import PackedSequences, split_rows
 from repro.gp.trainer import RlgpTrainer
 from repro.preprocessing.tokenized import TokenizedCorpus
 
@@ -64,3 +69,32 @@ def small_config():
 def earn_result(earn_train, small_config):
     """One completed evolution run on the earn problem."""
     return RlgpTrainer(small_config).train(earn_train, seed=5)
+
+
+@pytest.fixture(scope="session")
+def rewrite_in_format_1():
+    """Turns a sealed store dataset into the store's format 1, in which
+    every shard held the padded, length-sorted ``PackedSequences`` array
+    (lengths sorted, ``order`` mapping rows back, ``max_len`` columns)."""
+
+    def rewrite(directory):
+        index_path = directory / "index.json"
+        index = json.loads(index_path.read_text())
+        for entry in index["shards"]:
+            path = directory / entry["name"]
+            rows = np.fromfile(path, dtype="<f8").reshape(-1, 2)
+            packed = PackedSequences.from_sequences(
+                split_rows(rows, entry["lengths"]), 2
+            )
+            packed.inputs.tofile(path)
+            entry.update(
+                max_len=int(packed.inputs.shape[1]),
+                order=packed.order.tolist(),
+                lengths=packed.lengths.tolist(),
+                nbytes=int(packed.inputs.nbytes),
+                checksum=file_checksum(path),
+            )
+        index.update(format_version=1, n_inputs=2)
+        index_path.write_text(json.dumps(index))
+
+    return rewrite

@@ -10,11 +10,11 @@ from repro.data.shards import (
     ShardMeta,
     file_checksum,
     open_shard,
-    shard_sequences,
     write_shard,
 )
 from repro.errors import PersistenceError
-from repro.gp.recurrent import PackedSequences
+from repro.gp.recurrent import join_rows
+from repro.serve.workers import _pack_job
 
 
 def _sequences(seed=0, lengths=(5, 3, 9, 0, 4)):
@@ -30,7 +30,6 @@ def _write(tmp_path, sequences, **kwargs):
         sequences,
         doc_ids=list(range(n)),
         labels=[1 if i % 2 else -1 for i in range(n)],
-        n_inputs=2,
         **kwargs,
     )
 
@@ -38,30 +37,40 @@ def _write(tmp_path, sequences, **kwargs):
 def test_round_trip_is_bit_identical(tmp_path):
     sequences = _sequences()
     meta = _write(tmp_path, sequences)
-    packed = open_shard(tmp_path, meta)
-    reference = PackedSequences.from_sequences(sequences, 2)
-    assert np.array_equal(np.asarray(packed.inputs), reference.inputs)
-    assert np.array_equal(packed.lengths, reference.lengths)
-    assert np.array_equal(packed.order, reference.order)
-    assert np.array_equal(packed.active_counts, reference.active_counts)
-    for original, loaded in zip(sequences, shard_sequences(packed)):
-        assert np.array_equal(original, loaded)
+    loaded = open_shard(tmp_path, meta)
+    assert meta.lengths == (5, 3, 9, 0, 4)
+    assert len(loaded) == len(sequences)
+    for original, view in zip(sequences, loaded):
+        assert view.shape == original.shape
+        assert view.tobytes() == original.tobytes()
+
+
+def test_shard_payload_is_the_worker_job_block(tmp_path):
+    """One codec: a shard holds the rows a worker job carries, byte for
+    byte, and nothing else (16 bytes a row, no padding)."""
+    sequences = _sequences()
+    meta = _write(tmp_path, sequences)
+    payload = (tmp_path / meta.name).read_bytes()
+    lengths, block = join_rows(sequences)
+    _, job_lengths, job_block = _pack_job({"earn": sequences})
+    assert payload == block.tobytes() == job_block.tobytes()
+    assert list(meta.lengths) == lengths == job_lengths
+    assert len(payload) == meta.nbytes == 16 * sum(lengths)
 
 
 def test_open_shard_is_memory_mapped(tmp_path):
     meta = _write(tmp_path, _sequences())
-    packed = open_shard(tmp_path, meta)
-    assert isinstance(packed.inputs, np.memmap)
+    views = open_shard(tmp_path, meta)
     # Per-document views are windows onto the map, not copies.
-    views = shard_sequences(packed)
-    assert any(isinstance(view.base, np.memmap) for view in views if len(view))
+    assert all(isinstance(view.base, np.memmap) for view in views)
+    assert all(isinstance(view, np.memmap) for view in views if len(view))
 
 
 def test_all_empty_sequences_round_trip(tmp_path):
     sequences = [np.zeros((0, 2)), np.zeros((0, 2))]
     meta = _write(tmp_path, sequences)
-    packed = open_shard(tmp_path, meta)
-    assert [len(s) for s in shard_sequences(packed)] == [0, 0]
+    assert (tmp_path / meta.name).stat().st_size == 0
+    assert [view.shape for view in open_shard(tmp_path, meta)] == [(0, 2), (0, 2)]
 
 
 def test_truncation_raises_persistence_error(tmp_path):
@@ -118,6 +127,13 @@ def test_meta_misaligned_lengths_rejected(tmp_path):
     payload = _write(tmp_path, _sequences()).payload()
     payload["lengths"] = payload["lengths"][:-1]
     with pytest.raises(PersistenceError, match="lengths"):
+        ShardMeta.from_payload(payload, "index.json")
+
+
+def test_meta_negative_row_count_rejected(tmp_path):
+    payload = _write(tmp_path, _sequences()).payload()
+    payload["lengths"] = [-1, 6, 9, 0, 4]
+    with pytest.raises(PersistenceError, match="negative row count"):
         ShardMeta.from_payload(payload, "index.json")
 
 

@@ -2,16 +2,17 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.data import DatasetStore, StoredDataset
-from repro.data.store import COMPLETE_MARKER
+from repro.data import writer as writer_module
+from repro.data.store import COMPLETE_MARKER, DATASET_INDEX
 from repro.errors import PersistenceError
-from repro.gp.recurrent import PackedSequences
-from repro.runtime.events import EventBus
 from repro.serve.metrics import MetricsRegistry
 
 
@@ -25,6 +26,16 @@ def _flip_byte(directory, name="shard-00000.bin", offset=10):
     payload = bytearray(path.read_bytes())
     payload[offset] ^= 0xFF
     path.write_bytes(bytes(payload))
+
+
+def _assert_format_2(directory):
+    """The dataset is in the current format: every shard file is its
+    documents' float64 rows and nothing else."""
+    index = json.loads((directory / DATASET_INDEX).read_text())
+    assert index["format_version"] == 2
+    for entry in index["shards"]:
+        size = (directory / entry["name"]).stat().st_size
+        assert size == entry["nbytes"] == 16 * sum(entry["lengths"])
 
 
 def test_miss_encodes_then_hit_loads(store, tokenized, mi_features, encoder):
@@ -46,7 +57,7 @@ def test_miss_encodes_then_hit_loads(store, tokenized, mi_features, encoder):
 def test_hit_is_memory_mapped(store, tokenized, mi_features, encoder):
     store.get_or_encode(tokenized, mi_features, encoder, "grain", "train")
     stored = store.get_or_encode(tokenized, mi_features, encoder, "grain", "train")
-    assert isinstance(stored.packed().inputs, np.memmap)
+    assert all(isinstance(sequence.base, np.memmap) for sequence in stored.sequences)
     assert store.stats()["mmap_bytes"] > 0
     assert store.stats()["shards_read"] >= 1
 
@@ -170,19 +181,43 @@ def test_ingest_replaces_corrupt_dataset(store):
     assert store.stats()["corrupt"] == 1
 
 
-def test_events_emitted_per_shard_and_dataset(tmp_path):
-    seen = []
-    events = EventBus([seen.append])
-    store = DatasetStore(
-        tmp_path / "store",
-        metrics=MetricsRegistry(),
-        events=events,
-        shard_docs=2,
-    )
+def test_counters_count_each_shard_and_dataset(store, monkeypatch):
+    monkeypatch.setattr(writer_module, "SHARD_DOCS", 2)
     store.ingest("3" * 32, [(i, 1, np.ones((2, 2)), f"fp{i}") for i in range(5)])
-    kinds = [event.kind for event in seen]
-    assert kinds.count("data_shard_written") == 3
-    assert "data_dataset_sealed" in kinds
+    assert store.stats()["shards_written"] == 3
+    assert store.stats()["datasets_written"] == 1
+
+
+def test_format_1_dataset_is_reencoded_not_read(
+    store, tokenized, mi_features, encoder, rewrite_in_format_1
+):
+    fresh = store.get_or_encode(tokenized, mi_features, encoder, "earn", "train")
+    key = store.dataset_key(tokenized, mi_features, encoder, "earn", "train")
+    rewrite_in_format_1(store.path_for(key))
+    with pytest.raises(PersistenceError, match="unsupported dataset format 1"):
+        store.open(key)
+
+    again = store.get_or_encode(tokenized, mi_features, encoder, "earn", "train")
+    assert not isinstance(again, StoredDataset)  # encoded afresh
+    assert store.stats()["corrupt"] == 1
+    assert store.stats()["misses"] == 2
+    _assert_format_2(store.path_for(key))
+    stored = store.open(key)
+    for encoded, loaded in zip(fresh.sequences, stored.sequences):
+        assert np.array_equal(encoded, loaded)
+
+
+def test_ingest_rebuilds_format_1_dataset(store, rewrite_in_format_1):
+    key = "7" * 32
+    store.ingest(
+        key, [(0, 1, np.ones((2, 2)), "fp0"), (1, 1, np.ones((5, 2)), "fp1")]
+    )
+    rewrite_in_format_1(store.path_for(key))
+    rebuilt = store.ingest(key, [(2, -1, np.zeros((3, 2)), "fp2")])
+    # The old shards were not adopted; only the new item survives.
+    assert rebuilt.doc_ids == (2,)
+    assert store.stats()["corrupt"] == 1
+    _assert_format_2(store.path_for(key))
 
 
 def test_stats_line_format(store, tokenized, mi_features, encoder):
@@ -205,42 +240,54 @@ def test_counters_reach_metrics_registry(tmp_path):
     assert snapshot["data_store_shards_read_total"] >= 1
 
 
-@settings(max_examples=25, deadline=None)
+_rows = st.lists(st.tuples(st.floats(width=64), st.floats(width=64)), max_size=12)
+
+
+@settings(max_examples=50, deadline=None)
 @given(
-    data=st.lists(
-        st.lists(
-            st.tuples(
-                st.floats(allow_nan=False, width=64),
-                st.floats(allow_nan=False, width=64),
-            ),
-            max_size=12,
-        ),
-        min_size=1,
-        max_size=8,
-    ),
+    data=st.lists(st.one_of(st.just([]), _rows), max_size=8),
     shard_docs=st.integers(min_value=1, max_value=4),
+    shard_bytes=st.integers(min_value=1, max_value=256),
 )
-def test_round_trip_bit_identity_property(tmp_path_factory, data, shard_docs):
-    """write -> mmap -> PackedSequences is bit-identical to in-memory."""
+@example(data=[], shard_docs=2, shard_bytes=64)
+@example(data=[[], [], []], shard_docs=2, shard_bytes=64)
+@example(data=[[(1.0, 2.0)] * 3, [], [(3.0, 4.0)], [], [(5.0, 6.0)] * 9],
+         shard_docs=4, shard_bytes=40)
+def test_round_trip_bit_identity_property(
+    tmp_path_factory, data, shard_docs, shard_bytes
+):
+    """Ragged, empty and all-empty documents over several shards read
+    back bit for bit, in document order, as views of the shard maps; a
+    shard file is its rows and nothing else."""
     sequences = [np.array(rows, dtype=float).reshape(-1, 2) for rows in data]
     store = DatasetStore(
-        tmp_path_factory.mktemp("prop") / "store",
-        metrics=MetricsRegistry(),
-        shard_docs=shard_docs,
+        tmp_path_factory.mktemp("prop") / "store", metrics=MetricsRegistry()
     )
     key = "a" * 32
-    with store.writer(key) as writer:
-        for index, sequence in enumerate(sequences):
-            writer.add(index, 1, sequence)
-        writer.commit()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(writer_module, "SHARD_DOCS", shard_docs)
+        patch.setattr(writer_module, "SHARD_BYTES", shard_bytes)
+        with store.writer(key) as writer:
+            for index, sequence in enumerate(sequences):
+                writer.add(index, 1, sequence)
+            writer.commit()
     stored = store.open(key)
+    assert stored.doc_ids == tuple(range(len(sequences)))
     for original, loaded in zip(sequences, stored.sequences):
-        assert np.array_equal(original, np.asarray(loaded))
-    reference = PackedSequences.from_sequences(sequences, 2)
-    merged = stored.packed()
-    assert np.array_equal(reference.inputs, np.asarray(merged.inputs))
-    assert np.array_equal(reference.lengths, merged.lengths)
-    assert np.array_equal(reference.active_counts, merged.active_counts)
+        assert loaded.shape == original.shape
+        assert loaded.tobytes() == original.tobytes()
+    _assert_format_2(stored.directory)
+    # Each shard was flushed at the first bound its buffer reached.
+    start = 0
+    for number, meta in enumerate(stored.shard_metas):
+        assert meta.n_docs <= shard_docs
+        assert meta.nbytes - 16 * meta.lengths[-1] < shard_bytes
+        if number < len(stored.shard_metas) - 1:
+            assert meta.n_docs == shard_docs or meta.nbytes >= shard_bytes
+        views = stored.sequences[start:start + meta.n_docs]
+        if meta.nbytes:
+            assert all(isinstance(view.base, np.memmap) for view in views)
+        start += meta.n_docs
 
 
 def test_subset_matches_encoded_dataset_contract(store):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.data import DatasetStore
+from repro.data import writer as writer_module
 from repro.data.store import COMPLETE_MARKER, DATASET_INDEX
 from repro.errors import PersistenceError
 
@@ -48,8 +49,9 @@ def test_exception_in_writer_block_aborts(tmp_path):
     assert not store.has(KEY)
 
 
-def test_shard_docs_bound_splits_shards(tmp_path):
-    store = DatasetStore(tmp_path / "store", shard_docs=2)
+def test_shard_docs_bound_splits_shards(tmp_path, monkeypatch):
+    monkeypatch.setattr(writer_module, "SHARD_DOCS", 2)
+    store = DatasetStore(tmp_path / "store")
     with store.writer(KEY) as writer:
         for index, sequence in enumerate(_sequences(5)):
             writer.add(index, -1, sequence)
@@ -60,8 +62,9 @@ def test_shard_docs_bound_splits_shards(tmp_path):
     assert len(stored) == 5
 
 
-def test_shard_bytes_bound_splits_shards(tmp_path):
-    store = DatasetStore(tmp_path / "store", shard_bytes=200)
+def test_shard_bytes_bound_splits_shards(tmp_path, monkeypatch):
+    monkeypatch.setattr(writer_module, "SHARD_BYTES", 200)
+    store = DatasetStore(tmp_path / "store")
     with store.writer(KEY) as writer:
         for index in range(4):
             writer.add(index, 1, np.ones((10, 2)))  # 160 payload bytes each
@@ -70,10 +73,11 @@ def test_shard_bytes_bound_splits_shards(tmp_path):
     assert len(store.open(KEY).shard_metas) == 2
 
 
-def test_shard_bytes_bound_tracks_padded_payload(tmp_path):
-    # One 32-row document pads every document in its shard to 32 rows;
-    # the byte bound must account for that padding, not raw bytes.
-    store = DatasetStore(tmp_path / "store", shard_bytes=1024)
+def test_shard_bytes_bound_counts_row_bytes(tmp_path, monkeypatch):
+    # A shard costs its rows and nothing more: one 32-row document and
+    # 32 one-row ones fill a 1024-byte shard exactly.
+    monkeypatch.setattr(writer_module, "SHARD_BYTES", 1024)
+    store = DatasetStore(tmp_path / "store")
     with store.writer(KEY) as writer:
         writer.add(0, 1, np.ones((32, 2)))
         for index in range(1, 64):
@@ -81,26 +85,30 @@ def test_shard_bytes_bound_tracks_padded_payload(tmp_path):
         writer.commit()
     stored = store.open(KEY)
     assert len(stored) == 64
-    assert all(meta.nbytes <= 1024 for meta in stored.shard_metas)
+    assert [meta.n_docs for meta in stored.shard_metas] == [33, 31]
+    assert [meta.nbytes for meta in stored.shard_metas] == [1024, 496]
 
 
-def test_long_document_does_not_inflate_buffered_shorts(tmp_path):
-    # A new longest document seals the buffered short ones first, so
-    # they are never padded to its length.
-    store = DatasetStore(tmp_path / "store", shard_bytes=2048)
+def test_long_document_does_not_inflate_buffered_shorts(tmp_path, monkeypatch):
+    # No padding: the short documents beside a long one keep their own
+    # size, so the shard is exactly the sum of its rows.
+    monkeypatch.setattr(writer_module, "SHARD_BYTES", 2048)
+    store = DatasetStore(tmp_path / "store")
     with store.writer(KEY) as writer:
         for index in range(8):
             writer.add(index, 1, np.ones((1, 2)))
         writer.add(99, 1, np.ones((100, 2)))
         writer.commit()
     stored = store.open(KEY)
-    assert [meta.n_docs for meta in stored.shard_metas] == [8, 1]
-    assert all(meta.nbytes <= 2048 for meta in stored.shard_metas)
+    assert [meta.n_docs for meta in stored.shard_metas] == [9]
+    assert stored.nbytes == 16 * (8 + 100)
+    assert (stored.directory / "shard-00000.bin").stat().st_size == stored.nbytes
 
 
-def test_multi_shard_sequences_keep_document_order(tmp_path):
+def test_multi_shard_sequences_keep_document_order(tmp_path, monkeypatch):
+    monkeypatch.setattr(writer_module, "SHARD_DOCS", 3)
     sequences = _sequences(7, seed=3)
-    store = DatasetStore(tmp_path / "store", shard_docs=3)
+    store = DatasetStore(tmp_path / "store")
     with store.writer(KEY) as writer:
         for index, sequence in enumerate(sequences):
             writer.add(index, 1, sequence)
@@ -138,8 +146,9 @@ def test_fingerprint_dedup_within_writer(tmp_path):
     assert len(store.open(KEY)) == 2
 
 
-def test_link_shards_from_adopts_without_rewrite(tmp_path):
-    store = DatasetStore(tmp_path / "store", shard_docs=2)
+def test_link_shards_from_adopts_without_rewrite(tmp_path, monkeypatch):
+    monkeypatch.setattr(writer_module, "SHARD_DOCS", 2)
+    store = DatasetStore(tmp_path / "store")
     sequences = _sequences(4, seed=1)
     with store.writer(KEY) as writer:
         for index, sequence in enumerate(sequences):

@@ -92,15 +92,28 @@ def test_info_describes_model(model_dir, capsys):
     assert "earn" in out
 
 
-def test_info_missing_model(tmp_path, capsys):
-    # No manifest, one that is not JSON, and one without its config: each
-    # is an error message and exit 1, not a traceback.
+def test_info_missing_model(tmp_path, data_dir, capsys):
+    # No manifest, one that is not JSON, and one without its config: for
+    # every command that reads a model, each is an error message and
+    # exit 1, not a traceback.
+    model = tmp_path / "model"
+    model.mkdir()
+    data = ["--data", str(data_dir)]
+    commands = {
+        "info": [],
+        "evaluate": data,
+        "track": data + ["--doc-id", "1", "--category", "earn"],
+        "encode": data + ["--store", str(tmp_path / "store")],
+        "analyze": [],
+        "serve": data + ["--port", "0"],
+    }
     for text in (None, "{not json", '{"format_version": 1}'):
         if text is not None:
-            (tmp_path / "manifest.json").write_text(text)
-        code = main(["info", "--model", str(tmp_path)])
-        assert code == 1
-        assert capsys.readouterr().err.startswith("error: ")
+            (model / "manifest.json").write_text(text)
+        for command, arguments in commands.items():
+            code = main([command, "--model", str(model), *arguments])
+            assert code == 1, (command, text)
+            assert capsys.readouterr().err.startswith("error: "), (command, text)
 
 
 def test_unknown_command_rejected():

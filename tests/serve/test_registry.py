@@ -3,9 +3,10 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
-from repro.persistence import PersistenceError, save_pipeline
+from repro.persistence import PersistenceError, load_pipeline, save_pipeline
 from repro.serve.registry import ModelRegistry
 
 
@@ -102,6 +103,51 @@ def test_maybe_reload_detects_manifest_change(registry, model_dir, fitted_pipeli
     entry = registry.get("prod")
     assert entry.version == 2
     assert entry.pipeline is not old_pipeline
+
+
+def test_reload_during_a_save_never_serves_a_torn_model(
+    registry, serve_corpus, fitted_pipeline, tmp_path, monkeypatch
+):
+    """A reload polled while a new model is being saved over the served
+    one keeps the old model; the next poll serves the new one whole."""
+    served = tmp_path / "served"
+    save_pipeline(fitted_pipeline, served)
+    registry.register("prod", served)
+    # The new model differs in both files: every word SOM's units
+    # reversed (arrays.npz) and every threshold moved (manifest.json).
+    replacement = load_pipeline(served, serve_corpus)
+    for encoder in replacement.encoder.category_encoders.values():
+        encoder.som.weights = encoder.som.weights[::-1].copy()
+    for classifier in replacement.suite.classifiers.values():
+        classifier.threshold += 0.25
+    reference = tmp_path / "reference"
+    save_pipeline(replacement, reference)
+    documents = serve_corpus.test_documents
+    expected = load_pipeline(reference, serve_corpus).decision_matrix(documents)
+    old = registry.get("prod").pipeline.decision_matrix(documents)
+    assert any(not np.array_equal(old[c], expected[c]) for c in expected)
+
+    polls = []
+    savez_compressed = np.savez_compressed
+
+    def polling_savez_compressed(*args, **kwargs):
+        polls.append(registry.maybe_reload("prod"))
+        return savez_compressed(*args, **kwargs)
+
+    monkeypatch.setattr(np, "savez_compressed", polling_savez_compressed)
+    save_pipeline(replacement, served)
+    monkeypatch.undo()
+    assert polls == [False]
+    assert registry.get("prod").version == 1
+
+    manifest = served / "manifest.json"
+    stat = manifest.stat()
+    os.utime(manifest, (stat.st_atime, stat.st_mtime + 5))
+    assert registry.maybe_reload("prod") is True
+    values = registry.get("prod").pipeline.decision_matrix(documents)
+    for category in expected:
+        assert np.array_equal(values[category], expected[category])
+    assert sorted(os.listdir(served)) == ["arrays.npz", "manifest.json"]
 
 
 def test_forced_reload_bumps_version(registry, model_dir):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.data import DatasetStore
@@ -162,6 +164,38 @@ def test_transient_warm_failure_keeps_stored_history(
     monkeypatch.undo()
     # The accumulated write-back history survived the transient error.
     assert store.keys() == written
+
+
+def test_warm_discards_format_1_datasets(
+    registry, serve_corpus, tmp_path, rewrite_in_format_1
+):
+    """A write-back dataset of an older store format is never read as
+    rows: the warm start discards it and the next write-back rebuilds
+    it in the current format."""
+    store = DatasetStore(tmp_path / "store", metrics=MetricsRegistry())
+    docs = list(serve_corpus.test_documents)[:3]
+    first = _service(registry, store)
+    try:
+        first.classify(docs)
+    finally:
+        first.close()
+    written = store.keys()
+    assert written
+    for key in written:
+        rewrite_in_format_1(store.path_for(key))
+
+    second = _service(registry, store)
+    try:
+        assert len(second.cache) == 0
+        assert store.keys() == []
+        second.classify(docs)
+    finally:
+        second.close()
+    assert store.keys() == written
+    for key in written:
+        index = json.loads((store.path_for(key) / "index.json").read_text())
+        assert index["format_version"] == 2
+        assert len(store.open(key)) == len(docs)
 
 
 def test_service_without_store_is_unchanged(registry, serve_corpus):
