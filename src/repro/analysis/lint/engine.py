@@ -10,7 +10,7 @@ justification each), and the CLI (``python -m repro.analysis``) exits
 non-zero on anything unexplained.
 
 The engine pre-annotates every AST node with its enclosing scope
-(``node._repro_qualname``, e.g. ``"DatasetStore._publish"``) and parent
+(``node._repro_qualname``, e.g. ``"DatasetStore.discard"``) and parent
 (``node._repro_parent``) so rules can reason lexically -- "is this
 attribute access inside a ``with self._lock:`` block?" -- without each
 rule re-deriving structure.
@@ -125,7 +125,7 @@ class AllowlistEntry:
 class Allowlist:
     """Per-rule exemptions, one per line::
 
-        REPRO-L003 repro/data/store.py::DatasetStore._publish  # the blessed rename
+        REPRO-L004 repro/serve/gateway.py::GatewayServer._on_connection  # why
 
     The path matches on a ``/``-separated suffix; the ``::qualname`` part
     is optional and matches the scope or any nested scope.  A trailing

@@ -211,8 +211,9 @@ class AtomicPublishRule(Rule):
     ``stage_dir()``, ...) is tainted; writing through it directly --
     ``write_text``/``touch``/``open(..., "w")`` -- or renaming onto it /
     deleting it bypasses the temp-dir + rename + ``_COMPLETE`` seal
-    discipline.  The blessed publish/retire sites carry allowlist
-    entries explaining why they are the exception.
+    discipline.  Publishing and removing go through :mod:`repro.publish`,
+    which lies outside the rule's scope, so the scope needs no
+    exceptions.
     """
 
     name = "REPRO-L003"

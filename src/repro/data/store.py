@@ -7,7 +7,8 @@
         index.json           provenance + shard index (+ checksums)
         shard-00000.bin      float64 row block (memmapped on read)
         _COMPLETE            sealing marker, written last
-      tmp/                   in-flight writers (swept on construction)
+      tmp/                   in-flight writers and retired datasets
+                             (swept on construction)
 
 Datasets are *encoded sequences*, not documents: the expensive output of
 the hierarchical-SOM pipeline, keyed by
@@ -20,6 +21,12 @@ index damage) and a dataset written in another store format are
 surfaced as a :class:`~repro.errors.PersistenceError`, counted, the
 dataset discarded, and the caller transparently falls back to
 re-encoding: an old dataset is never read as rows.
+
+Every dataset reaches its address, and leaves it, through
+:mod:`repro.publish`.  Invariant: a reader of an address finds the old
+dataset whole, no dataset (and re-encodes), or the new dataset whole;
+of two writers racing to publish one address, the dataset already there
+is kept.
 
 Serving reads the store in its own process only: ``serve --store``
 warms the encoded-sequence LRU from a model's serve-miss dataset and
@@ -50,14 +57,12 @@ from repro.data.fingerprint import dataset_address
 from repro.data.shards import ShardMeta, open_shard
 from repro.data.writer import DatasetWriter
 from repro.errors import PersistenceError
+from repro.publish import COMPLETE_MARKER, remove_directory
 
 #: Version 2: a shard is one unpadded row block in document order.
 FORMAT_VERSION = 2
 
 DATASET_INDEX = "index.json"
-
-#: Sealing marker, written last (same discipline as runtime checkpoints).
-COMPLETE_MARKER = "_COMPLETE"
 
 
 class SequenceDataset:
@@ -243,9 +248,10 @@ class DatasetStore:
 
     def discard(self, key: str) -> None:
         """Drop a dataset (used on corruption; re-encoding recreates it)."""
-        directory = self.path_for(key)
-        if directory.exists():
-            shutil.rmtree(directory, ignore_errors=True)
+        remove_directory(
+            self.path_for(key),
+            self._tmp_root() / f"retired-{key[:12]}-{uuid.uuid4().hex}",
+        )
 
     # ------------------------------------------------------------------
     # reading
@@ -293,16 +299,13 @@ class DatasetStore:
     def writer(self, key: str) -> DatasetWriter:
         """A streaming writer targeting ``key`` (publish via commit)."""
         self.path_for(key)  # validate the key early
-        tmp_root = self.root / "tmp"
-        tmp_root.mkdir(parents=True, exist_ok=True)
         directory = Path(
-            tempfile.mkdtemp(prefix=f"{key[:12]}-", dir=tmp_root)
+            tempfile.mkdtemp(prefix=f"{key[:12]}-", dir=self._tmp_root())
         )
         return DatasetWriter(
             directory,
             key,
             on_shard=lambda meta: self._count("shards_written"),
-            publish=self._publish,
         )
 
     def ingest(
@@ -342,6 +345,7 @@ class DatasetStore:
                     writer.abort()  # nothing new; keep the sealed dataset
                     return None
                 writer.commit(extra_meta)
+                self._count("datasets_written")
             return self.open(key, verify=False)
 
     def write_dataset(
@@ -351,7 +355,9 @@ class DatasetStore:
         with self._write_lock(key):
             with self.writer(key) as writer:
                 writer.add_dataset(dataset)
-                return writer.commit(extra_meta)
+                final = writer.commit(extra_meta)
+                self._count("datasets_written")
+                return final
 
     # ------------------------------------------------------------------
     # the call-site API
@@ -464,31 +470,11 @@ class DatasetStore:
             self._local[name] += amount
         self._counters[name].inc(amount)
 
-    def _publish(self, tmp_directory: Path, key: str) -> Path:
-        """Atomically move a sealed temp directory to its address."""
-        final = self.path_for(key)
-        final.parent.mkdir(parents=True, exist_ok=True)
-        if final.exists():
-            # Replace: retire the old dataset first (rename is atomic,
-            # the retired copy is swept with the temp area).
-            retired = self.root / "tmp" / f"retired-{key[:12]}-{uuid.uuid4().hex}"
-            final.rename(retired)
-            try:
-                tmp_directory.rename(final)
-            finally:
-                shutil.rmtree(retired, ignore_errors=True)
-        else:
-            try:
-                tmp_directory.rename(final)
-            except OSError:
-                if self.has(key):
-                    # A concurrent writer published first; same content
-                    # address means same content -- discard ours.
-                    shutil.rmtree(tmp_directory, ignore_errors=True)
-                else:
-                    raise
-        self._count("datasets_written")
-        return final
+    def _tmp_root(self) -> Path:
+        """The area for in-flight writers and retired datasets."""
+        tmp_root = self.root / "tmp"
+        tmp_root.mkdir(parents=True, exist_ok=True)
+        return tmp_root
 
     def _sweep_tmp(self) -> None:
         tmp_root = self.root / "tmp"

@@ -4,12 +4,13 @@ A :class:`DatasetWriter` accumulates encoded documents and flushes them
 to shard files as soon as either bound (:data:`SHARD_DOCS` documents or
 :data:`SHARD_BYTES` bytes of rows) is reached, so materialising a corpus
 never holds more than one shard in memory.  Everything is written into
-a private temp directory under the store root; :meth:`commit` seals it
-with the index and a ``_COMPLETE`` marker (written *last*, the same
-discipline as ``repro.runtime.checkpoint``) and publishes it with a
-single atomic rename.  A crash at any point leaves either the old
-dataset or no dataset -- never a half-written one -- and the orphaned
-temp directory is swept by the store on its next construction.
+a private temp directory in the store's ``tmp/`` area; :meth:`commit`
+writes the index and hands the directory to
+:func:`repro.publish.publish_directory`, which seals it with the
+``_COMPLETE`` marker and renames it to its content address.  Invariant:
+a reader finds the old dataset whole, no dataset, or the new one whole
+-- never a half-written one -- and whatever a crash leaves in ``tmp/``
+is swept by the store on its next construction.
 
 Incremental ingest: :meth:`link_shards_from` adopts the sealed shards of
 an existing dataset (hard-linking when the filesystem allows, copying
@@ -29,6 +30,7 @@ import numpy as np
 
 from repro.data.shards import N_INPUTS, ShardMeta, write_shard
 from repro.errors import PersistenceError
+from repro.publish import publish_directory
 
 #: Shard bounds: whichever is hit first triggers a flush.  Read at each
 #: add, so a test can lower them to spread a dataset over several shards.
@@ -46,13 +48,13 @@ class DatasetWriter:
     visible through an explicit, completed commit.
 
     Args:
-        directory: private temp directory (inside the store root, so the
-            publishing rename never crosses filesystems).
+        directory: private temp directory in the ``tmp/`` area of the
+            store root, so the publishing rename never crosses
+            filesystems; the dataset is published at ``key``'s address
+            under that root.
         key: the content address being written.
         on_shard: callback invoked with each sealed :class:`ShardMeta`
             (the store counts shards here).
-        publish: callback that atomically moves the sealed temp
-            directory to its final address.
     """
 
     def __init__(
@@ -60,13 +62,11 @@ class DatasetWriter:
         directory: Path,
         key: str,
         on_shard: Optional[Callable[[ShardMeta], None]] = None,
-        publish: Optional[Callable[[Path, str], Path]] = None,
     ) -> None:
         self.directory = Path(directory)
         self.key = key
         self.metas: List[ShardMeta] = []
         self._on_shard = on_shard
-        self._publish = publish
         self._sequences: List[np.ndarray] = []
         self._doc_ids: List[int] = []
         self._labels: List[int] = []
@@ -183,13 +183,15 @@ class DatasetWriter:
         temp directory *before* the rename, so the published directory
         is complete the instant it exists.
         """
+        # Imported here: store <-> writer would otherwise be circular.
+        from repro.data.store import dataset_path
+
         self._require_open()
         self.flush()
-        if self._publish is None:
-            raise RuntimeError("writer has no publish callback (store-owned)")
         self._write_index(extra_meta or {})
         self._closed = True
-        return self._publish(self.directory, self.key)
+        root = self.directory.parent.parent  # <root>/tmp/<directory>
+        return publish_directory(self.directory, dataset_path(root, self.key))
 
     def abort(self) -> None:
         """Discard everything written so far (idempotent)."""
@@ -211,7 +213,7 @@ class DatasetWriter:
 
     def _write_index(self, extra_meta: dict) -> None:
         # Imported here: store <-> writer would otherwise be circular.
-        from repro.data.store import COMPLETE_MARKER, DATASET_INDEX, FORMAT_VERSION
+        from repro.data.store import DATASET_INDEX, FORMAT_VERSION
         import json
 
         payload = {
@@ -222,7 +224,6 @@ class DatasetWriter:
         }
         payload.update(extra_meta)
         (self.directory / DATASET_INDEX).write_text(json.dumps(payload, indent=2))
-        (self.directory / COMPLETE_MARKER).touch()
 
     def _require_open(self) -> None:
         if self._closed:

@@ -8,17 +8,21 @@ writer that turns it into a JSON record plus named arrays, a reader that
 turns them back, and one tuple of required record keys that every read
 checks first.  The records live in two containers:
 
-* a model directory (:func:`save_pipeline` / :func:`load_pipeline`):
-  ``manifest.json`` nests every record (``char_som``, ``encoders``,
-  ``classifiers``) beside the configuration and feature selection, and
-  ``arrays.npz`` holds every part's arrays under a per-part prefix
-  (``char_som_``, ``word_som_<category>_``).  A save replaces
-  ``arrays.npz`` first and ``manifest.json`` last, each atomically, so
-  a hot reload keyed on the manifest never reads a torn model;
+* a model directory (:func:`save_pipeline` / :func:`load_pipeline`),
+  model format 2: ``manifest.json`` nests every record (``char_som``,
+  ``encoders``, ``classifiers``) beside the configuration and feature
+  selection, and its ``arrays`` field names the ``arrays-<digest>.npz``
+  (a digest of the file's bytes) holding every part's arrays under a
+  per-part prefix (``char_som_``, ``word_som_<category>_``).  A save
+  publishes the arrays, then the manifest -- the one commit point --
+  and then removes the arrays files neither manifest names.  Invariant:
+  a load opens the arrays its own manifest names, so it returns the old
+  model whole or the new one whole, never a mix;
 * a checkpoint stage (:func:`save_stage` plus one loader per part), which
   ``repro.runtime.CheckpointStore`` seals so an interrupted fit resumes:
   ``stage.json`` holds one record inside a ``format_version``/``kind``
-  envelope, and ``stage_arrays.npz`` its arrays under bare names.
+  envelope (stage format 1), and ``stage_arrays.npz`` its arrays under
+  bare names.
 
 Records hold only what fitting learned.  Run-wide settings -- the
 member-word filter, the hit-mass floor, the SOM training mode and
@@ -33,10 +37,12 @@ tracking traces all match the pipeline that was saved.
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
-import os
+import re
 from pathlib import Path
-from typing import BinaryIO, Callable, Dict, Mapping, Tuple, Union
+from typing import Dict, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -53,6 +59,7 @@ from repro.gp.program import Program
 from repro.pipeline import ProSysConfig, ProSysPipeline
 from repro.preprocessing.pipeline import Preprocessor
 from repro.preprocessing.tokenized import TokenizedCorpus
+from repro.publish import publish_file, remove_file
 from repro.som.map import SelfOrganizingMap
 
 __all__ = [
@@ -68,9 +75,13 @@ __all__ = [
     "load_rule",
 ]
 
-FORMAT_VERSION = 1
+#: Model format 2: the manifest names its arrays file.
+FORMAT_VERSION = 2
 
 Arrays = Dict[str, np.ndarray]
+
+#: A model's arrays file: a bare name in the model directory.
+_ARRAYS_NAME = re.compile(r"arrays-[0-9a-f]+\.npz")
 
 
 #: Top-level keys every manifest must carry, and the sub-keys required
@@ -142,6 +153,12 @@ def validate_manifest(manifest: object, source: str = "manifest") -> dict:
         raise PersistenceError(
             f"{source}: unsupported model format "
             f"{manifest['format_version']!r} (expected {FORMAT_VERSION})"
+        )
+    arrays = manifest.get("arrays")
+    if not isinstance(arrays, str) or not _ARRAYS_NAME.fullmatch(arrays):
+        raise PersistenceError(
+            f"{source}: 'arrays' must name an arrays-<hex>.npz file in "
+            f"the model directory, got {arrays!r}"
         )
     _check_record(manifest["config"], _REQUIRED_CONFIG_KEYS, f"{source}: config")
     feature_set = manifest["feature_set"]
@@ -215,7 +232,7 @@ def _gp_config_from_dict(payload: dict) -> GpConfig:
 
 def _array(arrays: Mapping[str, np.ndarray], key: str) -> np.ndarray:
     if key not in arrays:
-        raise PersistenceError(f"arrays.npz is missing array {key!r}")
+        raise PersistenceError(f"the saved arrays are missing {key!r}")
     return arrays[key]
 
 
@@ -226,16 +243,15 @@ def _load_arrays(path: Path) -> Arrays:
     archive otherwise leaks a raw ``zipfile.BadZipFile`` / ``ValueError``
     / ``EOFError`` from whatever code touches the first array.  Reading
     every member eagerly here turns any such damage into one clear error
-    naming the offending file.
+    naming the offending file.  The file is opened here, not by
+    ``np.load``, so it is closed even when ``np.load`` itself raises.
     """
     import zipfile
     import zlib
 
     try:
-        with np.load(path) as archive:
+        with open(path, "rb") as handle, np.load(handle) as archive:
             return {name: archive[name] for name in archive.files}
-    except PersistenceError:
-        raise
     except (
         OSError, ValueError, KeyError, EOFError,
         zipfile.BadZipFile, zlib.error,
@@ -414,31 +430,30 @@ def save_pipeline(pipeline: ProSysPipeline, directory: Union[str, Path]) -> Path
     for category, classifier in pipeline.suite.classifiers.items():
         manifest["classifiers"][category], _ = _write_rule(classifier)
 
-    # Arrays first, manifest last: the manifest's change is what a hot
-    # reload waits for, and by then the arrays it names are in place.
-    _replace_file(
-        directory / "arrays.npz",
-        lambda handle: np.savez_compressed(handle, **arrays),
+    buffer = io.BytesIO()
+    np.savez_compressed(buffer, **arrays)
+    payload = buffer.getvalue()
+    manifest["arrays"] = f"arrays-{hashlib.sha256(payload).hexdigest()[:16]}.npz"
+    # A reader that has just read the replaced manifest still finds the
+    # arrays it names: they go only at the next save.
+    replaced = _named_arrays(directory)
+    publish_file(directory / manifest["arrays"], payload)
+    publish_file(
+        directory / "manifest.json", json.dumps(manifest, indent=2).encode()
     )
-    _replace_file(
-        directory / "manifest.json",
-        lambda handle: handle.write(json.dumps(manifest, indent=2).encode()),
-    )
+    for path in directory.glob("arrays*.npz"):
+        if path.name not in (manifest["arrays"], replaced):
+            remove_file(path)
     return directory
 
 
-def _replace_file(path: Path, write: Callable[[BinaryIO], object]) -> None:
-    """Write ``path`` through a temporary file beside it, then
-    ``os.replace`` it into place: a reader sees the old file or the new
-    one, never a partial one."""
-    temporary = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+def _named_arrays(directory: Path) -> Optional[str]:
+    """The arrays file the loadable manifest in ``directory`` names."""
     try:
-        with open(temporary, "xb") as handle:
-            write(handle)
-        os.replace(temporary, path)
-    except BaseException:
-        temporary.unlink(missing_ok=True)
-        raise
+        manifest = read_manifest(directory)
+    except PersistenceError:
+        manifest = {}  # no manifest a reader could load, no arrays to keep
+    return manifest.get("arrays")
 
 
 def load_pipeline(directory: Union[str, Path], corpus: Corpus) -> ProSysPipeline:
@@ -453,11 +468,8 @@ def load_pipeline(directory: Union[str, Path], corpus: Corpus) -> ProSysPipeline
         PersistenceError: on a missing or incompatible model directory.
     """
     directory = Path(directory)
-    arrays_path = directory / "arrays.npz"
     manifest = read_manifest(directory)
-    if not arrays_path.exists():
-        raise PersistenceError(f"no saved pipeline in {directory}")
-    arrays = _load_arrays(arrays_path)
+    arrays = _load_arrays(directory / manifest["arrays"])
 
     config_payload = manifest["config"]
     config = ProSysConfig(
@@ -512,6 +524,7 @@ def load_pipeline(directory: Union[str, Path], corpus: Corpus) -> ProSysPipeline
 # ``repro.runtime.CheckpointStore`` seals/loads these so an interrupted
 # ``ProSysPipeline.fit`` resumes instead of restarting.
 
+_STAGE_FORMAT = 1
 _STAGE_MANIFEST = "stage.json"
 _STAGE_ARRAYS = "stage_arrays.npz"
 _STAGE_WRITERS = {
@@ -525,7 +538,7 @@ def _write_stage(directory: Union[str, Path], kind: str, payload: dict,
                  arrays: Arrays) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    record = {"format_version": FORMAT_VERSION, "kind": kind}
+    record = {"format_version": _STAGE_FORMAT, "kind": kind}
     record.update(payload)
     (directory / _STAGE_MANIFEST).write_text(json.dumps(record, indent=2))
     if arrays:
@@ -545,10 +558,10 @@ def _read_stage(directory: Union[str, Path], kind: str) -> Tuple[dict, Arrays]:
         ) from error
     if not isinstance(payload, dict):
         raise PersistenceError(f"{manifest_path}: expected a JSON object")
-    if payload.get("format_version") != FORMAT_VERSION:
+    if payload.get("format_version") != _STAGE_FORMAT:
         raise PersistenceError(
             f"{manifest_path}: unsupported stage format "
-            f"{payload.get('format_version')!r} (expected {FORMAT_VERSION})"
+            f"{payload.get('format_version')!r} (expected {_STAGE_FORMAT})"
         )
     if payload.get("kind") != kind:
         raise PersistenceError(

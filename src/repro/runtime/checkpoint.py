@@ -2,11 +2,14 @@
 
 A :class:`CheckpointStore` owns one run directory.  Every completed
 training stage (character SOM, each per-category word SOM, each
-per-category RLGP classifier) is serialised into its own sub-directory
-under ``<run_dir>/stages/`` and sealed with a ``_COMPLETE`` marker file
-written *last* -- a stage interrupted mid-write has no marker and is
-recomputed on resume, so a killed ``fit`` picks up exactly where it
-stopped instead of restarting.
+per-category RLGP classifier) is written into a ``.tmp-`` staging
+directory under ``<run_dir>/stages/`` and published to its own
+sub-directory by :func:`repro.publish.publish_directory`, which seals it
+with the ``_COMPLETE`` marker and swaps it in.  Invariant: a stage is
+never sealed but gutted -- :meth:`CheckpointStore.has` is False (the
+stage is recomputed on resume) or the old or the new stage loads whole,
+even when a re-save over an existing stage is killed mid-replace -- so a
+killed ``fit`` picks up exactly where it stopped instead of restarting.
 
 Corrupt state (marker present but contents unreadable) raises
 :class:`~repro.errors.PersistenceError` naming the stage, rather than
@@ -21,11 +24,9 @@ from pathlib import Path
 from typing import Callable, List, TypeVar, Union
 
 from repro.errors import PersistenceError
+from repro.publish import COMPLETE_MARKER, publish_directory
 
 T = TypeVar("T")
-
-#: Marker file sealing a completed stage directory.
-COMPLETE_MARKER = "_COMPLETE"
 
 _SAFE_CHARS = re.compile(r"[^A-Za-z0-9._-]")
 
@@ -71,13 +72,14 @@ class CheckpointStore:
         )
 
     def save(self, name: str, writer: Callable[[Path], None]) -> Path:
-        """Run ``writer`` in a staging directory, then seal and publish.
+        """Run ``writer`` in a staging directory, then publish it as
+        stage ``name``.
 
-        The stage is materialised in a ``.tmp-`` sibling, sealed with the
-        completion marker, and renamed into place only then -- so a crash
-        at any point leaves either the previous sealed stage or an
-        unsealed staging directory (swept on the next attempt), never a
-        half-written published one.
+        The stage is materialised in a ``.tmp-`` sibling (a leftover from
+        an earlier attempt is swept first) and handed to
+        :func:`~repro.publish.publish_directory`, so a crash at any point
+        leaves the previous sealed stage, no stage, or the new one --
+        never a half-written or half-removed published one.
         """
         directory = self.stage_dir(name)
         staging = self._stages_dir / f".tmp-{directory.name}"
@@ -86,14 +88,10 @@ class CheckpointStore:
         staging.mkdir(parents=True)
         try:
             writer(staging)
-            (staging / COMPLETE_MARKER).touch()
         except BaseException:
             shutil.rmtree(staging, ignore_errors=True)
             raise
-        if directory.exists():
-            shutil.rmtree(directory)
-        staging.rename(directory)
-        return directory
+        return publish_directory(staging, directory)
 
     def load(self, name: str, reader: Callable[[Path], T]) -> T:
         """Restore stage ``name`` via ``reader(stage_dir)``.

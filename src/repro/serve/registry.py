@@ -1,11 +1,12 @@
 """Model registry: named, validated, hot-reloadable pipelines.
 
 The registry is the serving layer's view of ``repro.persistence``: it
-loads saved pipeline directories, validates their manifests up front,
-keeps several named models live at once, and supports hot reload -- when
-the manifest on disk changes (a retrain overwrote the directory), the
-next ``maybe_reload`` swaps the new model in atomically and bumps the
-entry's version so downstream caches and worker pools know to rebuild.
+loads saved pipeline directories (``load_pipeline`` validates each
+manifest before it opens any array), keeps several named models live at
+once, and supports hot reload -- when the manifest on disk changes (a
+retrain overwrote the directory), the next ``maybe_reload`` swaps the
+new model in atomically and bumps the entry's version so downstream
+caches and worker pools know to rebuild.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from repro.corpus.reuters import Corpus
-from repro.persistence import PersistenceError, load_pipeline, read_manifest
+from repro.persistence import PersistenceError, load_pipeline
 from repro.pipeline import ProSysPipeline
 
 
@@ -214,9 +215,10 @@ class ModelRegistry:
 
     # ------------------------------------------------------------------
     def _load_entry(self, name: str, directory: Path, version: int) -> ModelEntry:
-        read_manifest(directory)  # validate before the expensive load
+        # The mtime is taken before the load, so a save that lands
+        # mid-load leaves a newer manifest and the next poll reloads.
         manifest_path = directory / "manifest.json"
-        mtime = manifest_path.stat().st_mtime
+        mtime = manifest_path.stat().st_mtime if manifest_path.exists() else None
         pipeline = load_pipeline(directory, self.corpus)
         return ModelEntry(
             name,

@@ -1,5 +1,6 @@
 """Fixture: lock-discipline, atomic-publish and except-hygiene violations."""
 
+import shutil
 import threading
 from pathlib import Path
 
@@ -25,6 +26,12 @@ class LeakyStore:
     def sneaky_write(self, key, text):
         target = self.path_for(key)
         target.write_text(text)  # REPRO-L003: direct write to published path
+
+    def sneaky_rename(self, staging, key):
+        staging.rename(self.path_for(key))  # REPRO-L003: rename onto published path
+
+    def sneaky_remove(self, key):
+        shutil.rmtree(self.path_for(key))  # REPRO-L003: in-place removal
 
     def swallow(self):
         try:

@@ -51,7 +51,11 @@ def test_determinism_rule_finds_all_five_violations():
 def test_atomic_publish_flags_the_direct_write():
     reported, _ = _scan_fixtures()
     l003 = [f for f in reported if f.rule == "REPRO-L003"]
-    assert [f.qualname for f in l003] == ["LeakyStore.sneaky_write"]
+    assert [f.qualname for f in l003] == [
+        "LeakyStore.sneaky_write",
+        "LeakyStore.sneaky_rename",
+        "LeakyStore.sneaky_remove",
+    ]
 
 
 def test_swallowed_exception_flags_both_patterns():
@@ -148,5 +152,5 @@ def test_src_repro_is_clean_with_shipped_allowlist():
         [REPO_ROOT / "src" / "repro"], default_rules(), allowlist
     )
     assert reported == [], "\n".join(f.render() for f in reported)
-    assert suppressed, "expected the blessed publish sites to be allowlisted"
+    assert suppressed, "expected the allowlisted sites to be suppressed"
     assert not allowlist.unused_entries()

@@ -34,7 +34,7 @@ def config():
 def _model_payload(pipeline, directory):
     save_pipeline(pipeline, directory)
     manifest = (directory / "manifest.json").read_bytes()
-    with np.load(directory / "arrays.npz") as archive:
+    with np.load(directory / json.loads(manifest)["arrays"]) as archive:
         arrays = {name: archive[name].copy() for name in archive.files}
     return manifest, arrays
 

@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -37,7 +39,8 @@ def test_generate_writes_sgm(data_dir):
 
 def test_train_writes_model(model_dir):
     assert (model_dir / "manifest.json").exists()
-    assert (model_dir / "arrays.npz").exists()
+    manifest = json.loads((model_dir / "manifest.json").read_text())
+    assert (model_dir / manifest["arrays"]).exists()
 
 
 def test_evaluate_prints_table(model_dir, data_dir, capsys):

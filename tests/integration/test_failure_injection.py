@@ -87,14 +87,15 @@ def test_missing_arrays_file(tmp_path, corpus):
 
 def test_malformed_manifest_json(tmp_path, corpus):
     (tmp_path / "manifest.json").write_text("{not json")
-    (tmp_path / "arrays.npz").write_bytes(b"junk")
+    (tmp_path / "arrays-00.npz").write_bytes(b"junk")
     with pytest.raises((PersistenceError, json.JSONDecodeError, ValueError)):
         load_pipeline(tmp_path, corpus)
 
 
 def test_truncated_arrays_npz(tmp_path, corpus):
     manifest = {
-        "format_version": 1,
+        "format_version": 2,
+        "arrays": "arrays-00.npz",
         "config": {
             "feature_method": "mi", "n_features": 10, "som_epochs": 2,
             "char_shape": [7, 13], "word_shape": [8, 8],
@@ -114,6 +115,6 @@ def test_truncated_arrays_npz(tmp_path, corpus):
         "char_som": {"rows": 7, "cols": 13, "epochs": 2, "seed": 0},
     }
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-    (tmp_path / "arrays.npz").write_bytes(b"PK\x03\x04 truncated")
+    (tmp_path / manifest["arrays"]).write_bytes(b"PK\x03\x04 truncated")
     with pytest.raises(Exception):
         load_pipeline(tmp_path, corpus)

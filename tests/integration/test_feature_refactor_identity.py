@@ -68,8 +68,8 @@ def test_pipeline_champions_byte_identical(corpus, tmp_path, monkeypatch):
     # manifest; byte equality is the whole claim.
     assert a_manifest == b_manifest
 
-    with np.load(a_dir / "arrays.npz") as a_arrays, np.load(
-        b_dir / "arrays.npz"
+    with np.load(a_dir / json.loads(a_manifest)["arrays"]) as a_arrays, np.load(
+        b_dir / json.loads(b_manifest)["arrays"]
     ) as b_arrays:
         assert set(a_arrays.files) == set(b_arrays.files)
         for name in a_arrays.files:

@@ -1,6 +1,8 @@
 """Stage checkpointing: sealing, resume, corruption."""
 
 import json
+import os
+import shutil
 
 import pytest
 
@@ -44,6 +46,79 @@ def test_resave_discards_previous_attempt(tmp_path):
     store.save("stage", _write_payload(1))
     store.save("stage", _write_payload(2))
     assert store.load("stage", _read_payload) == 2
+
+
+class _Killed(BaseException):
+    """The saving process died here."""
+
+
+def _write_stage_files(value):
+    def writer(directory):
+        for name in ("stage.json", "stage_arrays.npz"):
+            (directory / name).write_text(json.dumps(value))
+    return writer
+
+
+def _read_stage_files(directory):
+    record, arrays = (
+        json.loads((directory / name).read_text())
+        for name in ("stage.json", "stage_arrays.npz")
+    )
+    if record != arrays:
+        raise ValueError(f"torn stage: {record!r} beside {arrays!r}")
+    return record
+
+
+def test_resave_killed_mid_replace_never_leaves_a_gutted_stage(
+    tmp_path, monkeypatch
+):
+    """Kill a re-save over a sealed stage right after each file removal
+    and each rename it makes: the stage is then unsealed (recomputed on
+    resume) or loads as the old or the new payload -- never sealed but
+    corrupt."""
+    operations = ("unlink", "rmdir", "rename", "replace")
+    originals = {name: getattr(os, name) for name in operations}
+    killed_after = []
+    step = 0
+    while True:
+        step += 1
+        run, snapshot = tmp_path / f"run-{step}", tmp_path / f"killed-{step}"
+        store = CheckpointStore(run)
+        store.save("word_som/earn", _write_stage_files("old"))
+        calls = []
+
+        def dying(name):
+            def operation(*args, **kwargs):
+                result = originals[name](*args, **kwargs)
+                calls.append(name)
+                if len(calls) == step:
+                    shutil.copytree(run, snapshot)  # the disk as the kill left it
+                    raise _Killed(name)
+                return result
+            return operation
+
+        with monkeypatch.context() as patch:
+            for name in operations:
+                patch.setattr(os, name, dying(name))
+            try:
+                store.save("word_som/earn", _write_stage_files("new"))
+            except _Killed:
+                killed_after.append(calls[-1])
+            else:
+                break
+        resumed = CheckpointStore(snapshot)
+        if resumed.has("word_som/earn"):
+            try:
+                payload = resumed.load("word_som/earn", _read_stage_files)
+            except PersistenceError as error:
+                pytest.fail(f"killed after {calls[-1]} #{step}: {error}")
+            assert payload in ("old", "new")
+    # Every file of the old stage was removed and both renames made.
+    assert killed_after.count("unlink") >= 3
+    assert killed_after.count("rename") >= 2
+    assert store.load("word_som/earn", _read_stage_files) == "new"
+    assert store.completed() == ["word_som__earn"]
+    assert os.listdir(run / "stages") == ["word_som__earn"]
 
 
 def test_corrupt_sealed_stage_raises_persistence_error(tmp_path):

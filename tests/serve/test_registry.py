@@ -114,7 +114,7 @@ def test_reload_during_a_save_never_serves_a_torn_model(
     save_pipeline(fitted_pipeline, served)
     registry.register("prod", served)
     # The new model differs in both files: every word SOM's units
-    # reversed (arrays.npz) and every threshold moved (manifest.json).
+    # reversed (the arrays file) and every threshold moved (manifest.json).
     replacement = load_pipeline(served, serve_corpus)
     for encoder in replacement.encoder.category_encoders.values():
         encoder.som.weights = encoder.som.weights[::-1].copy()
@@ -127,6 +127,7 @@ def test_reload_during_a_save_never_serves_a_torn_model(
     old = registry.get("prod").pipeline.decision_matrix(documents)
     assert any(not np.array_equal(old[c], expected[c]) for c in expected)
 
+    previous = json.loads((served / "manifest.json").read_text())["arrays"]
     polls = []
     savez_compressed = np.savez_compressed
 
@@ -147,7 +148,11 @@ def test_reload_during_a_save_never_serves_a_torn_model(
     values = registry.get("prod").pipeline.decision_matrix(documents)
     for category in expected:
         assert np.array_equal(values[category], expected[category])
-    assert sorted(os.listdir(served)) == ["arrays.npz", "manifest.json"]
+    current = json.loads(manifest.read_text())["arrays"]
+    assert current != previous
+    assert sorted(os.listdir(served)) == sorted(
+        [previous, current, "manifest.json"]
+    )
 
 
 def test_forced_reload_bumps_version(registry, model_dir):
