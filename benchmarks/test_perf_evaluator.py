@@ -46,15 +46,15 @@ CONFIG = GpConfig().small(tournaments=10)
 BENCH_RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_evaluator.json"
 
 #: Seconds each shape's median must stay under.  Each sits ~3x above the
-#: slowest of three runs on a 2-vCPU VM (served 2.3-5.0 ms, tournaments
-#: of one 3.0-3.2 ms and of four 5.3-9.8 ms, model selection 61-66 ms):
+#: slowest of three runs on a 2-vCPU VM (served 1.7-2.1 ms, tournaments
+#: of one 1.5-2.4 ms and of four 2.5-2.7 ms, model selection 41-44 ms):
 #: a noisy run passes, model selection as a per-program loop (~0.55 s)
 #: does not.
 SHAPE_CEILINGS = {
-    "served_1x1_warm": 0.015,
-    "tournament_1x50_cold": 0.010,
-    "tournament_4x50_cold": 0.030,
-    "finalise_125x200_warm": 0.200,
+    "served_1x1_warm": 0.007,
+    "tournament_1x50_cold": 0.008,
+    "tournament_4x50_cold": 0.009,
+    "finalise_125x200_warm": 0.135,
 }
 
 

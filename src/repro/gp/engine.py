@@ -15,7 +15,15 @@ kernel:
   of gathered ufuncs.  Semantically identical programs in a batch are
   swept once.  Per element the operation sequence is exactly
   :meth:`Program.step`'s, so outputs are bit-identical to the reference
-  :class:`~repro.gp.recurrent.RecurrentEvaluator` (differential-tested);
+  :class:`~repro.gp.recurrent.RecurrentEvaluator` (differential-tested).
+  A word step runs a *tape*: the flat list of ``(callable, args)``
+  numpy calls of every level -- one gather, one ufunc per opcode group,
+  the division guard, one clamp -- bound once over fixed views of the
+  bank, so a step pays for its ufuncs and for no slicing.  The bank's
+  columns narrow along a halving ladder as documents end: once the
+  active prefix is at most half the bound width, the live prefix moves
+  to a narrower contiguous bank and the tape is rebound, so documents
+  that already ended cost at most as much as the live ones;
 * :class:`SemanticCache` memoises ``(effective-code fingerprint,
   DSS-subset version) -> (fitness, squashed outputs)`` so offspring whose
   crossover/mutation landed entirely in introns are never re-evaluated.
@@ -49,6 +57,7 @@ from repro.gp.instructions import (
     MODE_EXTERNAL,
     MODE_INTERNAL,
     OP_ADD,
+    OP_DIV,
     OP_MUL,
     OP_SUB,
     encode_instruction,
@@ -105,7 +114,8 @@ def _register_engine_metrics(registry) -> Dict[str, object]:
         ),
         "instructions": registry.counter(
             "engine_instructions_executed_total",
-            "effective instructions executed (program x word x instruction)",
+            "effective instructions executed on active documents "
+            "(program x word x instruction)",
         ),
         "batches": registry.counter(
             "engine_batches_total", "fused evaluation calls"
@@ -136,10 +146,9 @@ class PackedPrograms:
     Programs are sorted by *decreasing* effective length (the same trick
     :class:`~repro.gp.recurrent.PackedSequences` plays on documents), so
     instruction slot ``i`` is live for a contiguous **prefix** of the
-    rows -- the fused sweep executes exactly
-    ``sum(effective lengths) x words`` instructions, never a padded
-    no-op.  Padding slots still hold the bit-transparent ``R0 = R0 * 1``
-    as a safety net.
+    rows.  The sweep plan takes only the effective instructions, never a
+    padded no-op; padding slots still hold the bit-transparent
+    ``R0 = R0 * 1`` as a safety net.
 
     Attributes:
         modes / opcodes / dsts / srcs: ``(n_programs, max_len)`` int64
@@ -214,8 +223,9 @@ class _Slot:
 
     A level holds mutually independent instructions -- one or more per
     program (see :func:`repro.gp.optimize.schedule_levels`).  Entries
-    arrive sorted by opcode, so the opcode groups are contiguous
-    *slices* (in-place ufuncs on views, no masked copies).
+    arrive sorted by opcode, so the opcode groups are contiguous row
+    ranges ``(opcode, lo, hi)`` (in-place ufuncs on views, no masked
+    copies).
 
     Every operand lives in one *extended* register bank laid out as
     ``[zero row | instruction defs | input rows | constant rows]``
@@ -236,13 +246,12 @@ class _Slot:
         self.def_lo = int(def_lo)
         self.def_hi = self.def_lo + self.size
         # Contiguous opcode runs in the presorted order.
-        self.groups = []
         boundaries = np.flatnonzero(np.diff(opcodes)) + 1
-        for start, stop in zip(
-            np.concatenate(([0], boundaries)),
-            np.concatenate((boundaries, [len(opcodes)])),
-        ):
-            self.groups.append((int(opcodes[start]), slice(int(start), int(stop))))
+        starts = np.concatenate(([0], boundaries)).tolist()
+        stops = np.concatenate((boundaries, [len(opcodes)])).tolist()
+        self.groups = [
+            (int(opcodes[lo]), lo, hi) for lo, hi in zip(starts, stops)
+        ]
 
 
 class _SweepPlan:
@@ -255,15 +264,84 @@ class _SweepPlan:
             output register's value after each word (its final def row,
             or the always-zero initial row for empty streams).
         n_rows: total extended-bank rows.
+        pair_rows: rows of the widest level's gather (twice its size).
+        div_rows: rows of the widest division group (0 without one).
     """
 
-    __slots__ = ("slots", "const_vals", "out_rows", "n_rows")
+    __slots__ = ("slots", "const_vals", "out_rows", "n_rows", "pair_rows",
+                 "div_rows")
 
     def __init__(self, slots, const_vals, out_rows, n_rows) -> None:
         self.slots = slots
         self.const_vals = const_vals
         self.out_rows = out_rows
         self.n_rows = n_rows
+        self.pair_rows = max(2 * slot.size for slot in slots)
+        self.div_rows = max(
+            (hi - lo for slot in slots for opcode, lo, hi in slot.groups
+             if opcode == OP_DIV),
+            default=0,
+        )
+
+
+#: The ufunc of each opcode but division, which is bound with its guard.
+_UFUNCS = {OP_ADD: np.add, OP_SUB: np.subtract, OP_MUL: np.multiply}
+
+
+def _bind_tape(plan: _SweepPlan, bank: np.ndarray, pairs: np.ndarray,
+               magnitudes: np.ndarray, tiny: np.ndarray) -> list:
+    """One word step of ``plan`` over ``bank`` as ``(callable, args)`` pairs.
+
+    Per level: one gather of every operand into ``pairs``; one ufunc per
+    opcode group, emitting straight into the group's def rows; and one
+    clamp of those rows.  A division group first sets its ~0
+    denominators to 1 (``x / 1.0 == x`` bit-exactly, so the protected
+    lanes keep the numerator, as :meth:`Program.step` does), through
+    ``magnitudes`` and the mask ``tiny``.  The three flat buffers are
+    shared by every level -- a level's gather and guard are spent before
+    the next level's gather -- and are re-viewed contiguously at the
+    bank's width, so every call runs on contiguous rows.
+    """
+    width = bank.shape[1]
+    pairs = pairs[: plan.pair_rows * width].reshape(plan.pair_rows, width)
+    magnitudes = magnitudes[: plan.div_rows * width].reshape(plan.div_rows, width)
+    tiny = tiny[: plan.div_rows * width].reshape(plan.div_rows, width)
+    tape = []
+    for slot in plan.slots:
+        size = slot.size
+        # Gather with mode "clip" (indices are always in range) writes
+        # into ``pairs`` directly; the default "raise" buffers ``out``.
+        # Because the gather copies, every operand is pinned before the
+        # level writes anything -- required by the wrap-around reads of
+        # same-level final defs.
+        tape.append((bank.take, (slot.flat_pair, 0, pairs[: 2 * size], "clip")))
+        for opcode, lo, hi in slot.groups:
+            current = pairs[lo:hi]
+            source = pairs[size + lo : size + hi]
+            defs = bank[slot.def_lo + lo : slot.def_lo + hi]
+            if opcode != OP_DIV:
+                tape.append((_UFUNCS[opcode], (current, source, defs)))
+            else:
+                magnitude = magnitudes[: hi - lo]
+                mask = tiny[: hi - lo]
+                tape += [
+                    (np.absolute, (source, magnitude)),
+                    (np.less, (magnitude, DIV_EPSILON, mask)),
+                    (np.putmask, (source, mask, 1.0)),
+                    (np.divide, (current, source, defs)),
+                ]
+        defs = bank[slot.def_lo : slot.def_hi]
+        if _clip_ufunc is not None:
+            # The raw clip ufunc: one pass, without np.clip's wrapper.
+            tape.append(
+                (_clip_ufunc, (defs, -REGISTER_LIMIT, REGISTER_LIMIT, defs))
+            )
+        else:  # pragma: no cover - older numpy layouts
+            tape += [
+                (np.maximum, (defs, -REGISTER_LIMIT, defs)),
+                (np.minimum, (defs, REGISTER_LIMIT, defs)),
+            ]
+    return tape
 
 
 #: Entries the trainer's semantic cache retains.
@@ -357,8 +435,9 @@ class FusedEngine:
     once the register bank would exceed ~4 MiB; documents are
     independent, so blocking never changes outputs.
 
-    Safe to share between threads: sweeps allocate their own banks, and
-    the plan memo is guarded by a lock.
+    Safe to share between threads: each sweep allocates its own bank,
+    buffers and tape (nothing bound is kept on the engine or the plan),
+    and the plan memo is guarded by a lock.
 
     Args:
         config: the GP configuration shared by every program evaluated.
@@ -672,74 +751,50 @@ class FusedEngine:
 
         Documents are sorted by decreasing length, so the block's active
         set at step ``t`` is ``[start, min(stop, active_counts[t]))`` --
-        a prefix of the block, exactly like the unblocked sweep.
-        Per-document state lives in the bank's columns, so blocking
-        cannot change any output.
+        a prefix of the block, exactly like the unblocked sweep.  A word
+        step copies the word's inputs into the bank and runs the tape
+        (:func:`_bind_tape`) bound over the bank.  The bank narrows along
+        a halving ladder: once the active prefix is at most half its
+        width, the live prefix is copied into a contiguous bank that
+        wide and the tape rebound, so columns of ended documents compute
+        at most as many values (nobody reads them) as live ones, and a
+        block binds at most ``log2(width) + 1`` times.  Per-document
+        state lives in the bank's columns, so neither blocking nor
+        narrowing can change any output.
         """
         n_inputs = self.config.n_inputs
-        width = stop - start
-        n_const = len(plan.const_vals)
-        ext_lo = plan.n_rows - n_const - n_inputs
+        ext_lo = plan.n_rows - len(plan.const_vals) - n_inputs
+        counts = np.clip(packed.active_counts - start, 0, stop - start).tolist()
+        width = counts[0]
+        if not width:
+            return
         bank = np.zeros((plan.n_rows, width))
-        # Constant rows are valid at any active width: prefill once.
-        if n_const:
-            bank[ext_lo + n_inputs :] = plan.const_vals[:, None]
-        max_len = packed.inputs.shape[1]
-
-        for t in range(max_len):
-            n_active = min(int(packed.active_counts[t]), stop) - start
-            if n_active <= 0:
+        # Constant rows are valid at any width and survive narrowing.
+        bank[ext_lo + n_inputs :] = plan.const_vals[:, None]
+        pairs = np.empty(plan.pair_rows * width)
+        magnitudes = np.empty(plan.div_rows * width)
+        tiny = np.empty(plan.div_rows * width, dtype=bool)
+        # ``inputs[t]`` is word ``t`` of every document, one row per input.
+        inputs = packed.inputs[start:stop].transpose(1, 2, 0)
+        tape = _bind_tape(plan, bank, pairs, magnitudes, tiny)
+        for t, n_active in enumerate(counts):
+            if not n_active:
                 break
-            live = bank[:, :n_active]
-            live[ext_lo : ext_lo + n_inputs] = packed.inputs[
-                start : start + n_active, t, :
-            ].T
-            for slot in plan.slots:
-                # One gather fetches each instruction's running
-                # destination value *and* its source (def rows, inputs,
-                # constants all live in the extended bank), and because
-                # the fancy-indexed gather copies, every operand is
-                # pinned before the slot writes anything -- required by
-                # the wrap-around reads of same-level final defs.
-                pair = live[slot.flat_pair]
-                current = pair[: slot.size]
-                source = pair[slot.size :]
-                defs = live[slot.def_lo : slot.def_hi]
-                # Opcode groups are contiguous runs: each ufunc emits
-                # straight into the slot's own def rows -- no scatter.
-                for opcode, group in slot.groups:
-                    cur = current[group]
-                    src = source[group]
-                    if opcode == OP_ADD:
-                        np.add(cur, src, out=defs[group])
-                    elif opcode == OP_SUB:
-                        np.subtract(cur, src, out=defs[group])
-                    elif opcode == OP_MUL:
-                        np.multiply(cur, src, out=defs[group])
-                    else:
-                        # Protected division: a ~0 denominator becomes 1,
-                        # and x / 1.0 == x bit-exactly, so the protected
-                        # lanes keep the numerator -- identical semantics
-                        # to Program.step.
-                        src[np.abs(src) < DIV_EPSILON] = 1.0
-                        np.divide(cur, src, out=defs[group])
-                # Single-pass clamp in place on the def rows (the raw
-                # clip ufunc skips np.clip's wrapper, which is too slow
-                # at this call frequency).
-                if _clip_ufunc is not None:
-                    _clip_ufunc(defs, -REGISTER_LIMIT, REGISTER_LIMIT, defs)
-                else:  # pragma: no cover - older numpy layouts
-                    np.maximum(defs, -REGISTER_LIMIT, out=defs)
-                    np.minimum(defs, REGISTER_LIMIT, out=defs)
+            if 2 * n_active <= width:
+                width = n_active
+                bank = bank[:, :width].copy()
+                tape = _bind_tape(plan, bank, pairs, magnitudes, tiny)
+            bank[ext_lo : ext_lo + n_inputs] = inputs[t, :, :width]
+            for call, args in tape:
+                call(*args)
             if words is not None:
-                words[:, start : start + n_active, t] = live[plan.out_rows]
+                words[:, start : start + n_active, t] = bank[
+                    plan.out_rows, :n_active
+                ]
             # Documents ending at step t occupy a suffix of the active
             # prefix (lengths sorted descending): snapshot each
             # program's output row for them.
-            still_global = (
-                int(packed.active_counts[t + 1]) if t + 1 < max_len else 0
-            )
-            still_active = min(max(still_global - start, 0), n_active)
+            still_active = counts[t + 1] if t + 1 < len(counts) else 0
             if still_active < n_active:
                 finals[:, start + still_active : start + n_active] = bank[
                     plan.out_rows, still_active:n_active
@@ -762,7 +817,8 @@ class FusedEngine:
         self._metrics["batches"].inc()
         self._metrics["programs"].inc(len(programs))
         self._metrics["documents"].inc(len(programs) * n_docs)
-        # Every swept program executes its packed stream once per active
-        # word-step, so the product is the exact executed-instruction
-        # count (padding no-ops excluded).
+        # Every swept program executes its effective stream once per
+        # word of every document still active at that word, so the
+        # product counts the instructions executed on active documents
+        # (the ladder's columns of ended documents are not counted).
         self._metrics["instructions"].inc(executed * total_words)

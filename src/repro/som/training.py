@@ -129,7 +129,9 @@ class SomTrainer:
         """Batch SOM updates with optional per-sample multiplicities.
 
         Each epoch assigns every sample to its BMU and moves each unit to
-        the neighbourhood-weighted mean of the samples.
+        the neighbourhood-weighted mean of the samples.  The distance
+        matrix an epoch ends with gives its quantization error and the
+        next epoch's BMUs: one matrix per epoch.
         """
         data = np.atleast_2d(np.asarray(data, dtype=float))
         if sample_weights is None:
@@ -143,9 +145,10 @@ class SomTrainer:
         radii = self._radius_schedule(som)
         history = TrainingHistory()
 
+        distances = som.distances(data)
         for epoch in range(self.epochs):
             before = som.weights.copy()
-            bmus = som.bmus(data)
+            bmus = distances.argmin(axis=1)
             radius = radii[epoch]
             # kernel[u, v] = neighbourhood influence of BMU v on unit u.
             kernel = np.exp(-som._grid_dist2 / (2.0 * max(radius, 1e-9) ** 2))
@@ -158,7 +161,8 @@ class SomTrainer:
             spread_sums = kernel @ sums
             updated = spread_mass > 1e-12
             som.weights[updated] = spread_sums[updated] / spread_mass[updated, None]
-            self._record(history, som, data, before, sample_weights)
+            distances = som.distances(data)
+            self._record(history, som, data, before, sample_weights, distances)
         return history
 
     def _record(
@@ -168,9 +172,14 @@ class SomTrainer:
         data: np.ndarray,
         before: np.ndarray,
         sample_weights: Optional[np.ndarray] = None,
+        distances: Optional[np.ndarray] = None,
     ) -> None:
+        """Append one epoch's AWC and quantization error; ``distances``,
+        when given, is ``som.distances(data)`` at the current weights."""
         history.awc.append(float(np.abs(som.weights - before).mean()))
-        min_dist = som.distances(data).min(axis=1)
+        if distances is None:
+            distances = som.distances(data)
+        min_dist = distances.min(axis=1)
         if sample_weights is not None and sample_weights.sum() > 0:
             qe = float(np.average(min_dist, weights=sample_weights))
         else:

@@ -15,7 +15,7 @@ from random import Random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.gp import engine as engine_module
@@ -53,6 +53,28 @@ def _random_sequences(rng, n_docs, max_len):
             ).reshape(-1, 2)
         )
     return sequences
+
+
+def _skewed_sequences(rng, n_docs, max_len, skew):
+    """Documents of ``0..max_len`` words, short ones more likely the
+    larger ``skew`` (``skew = 1`` draws lengths uniformly)."""
+    lengths = [
+        min(int((max_len + 1) * rng.random() ** skew), max_len)
+        for _ in range(n_docs)
+    ]
+    return [
+        np.array([[rng.random(), rng.random()] for _ in range(length)]).reshape(-1, 2)
+        for length in lengths
+    ]
+
+
+def _division_only(program):
+    """``program`` with every instruction's opcode made a division."""
+    fields = zip(*program.decoded_fields())
+    return Program(
+        [encode_instruction(int(m), OP_DIV, int(d), int(s)) for m, _, d, s in fields],
+        CONFIG,
+    )
 
 
 def _random_population(n_programs, seed=0):
@@ -123,26 +145,35 @@ def test_fused_bit_identical_to_reference_fixed():
 
 
 @settings(max_examples=30, deadline=None)
+@example(pop_seed=12, data_seed=5, n_programs=4, n_docs=64, skew=3.0)
 @given(
     pop_seed=st.integers(0, 10**6),
     data_seed=st.integers(0, 10**6),
     n_programs=st.integers(1, 10),
-    n_docs=st.integers(1, 10),
+    n_docs=st.integers(1, 64),
+    skew=st.floats(1.0, 4.0),
 )
 def test_fused_matches_both_evaluators_property(
-    pop_seed, data_seed, n_programs, n_docs
+    pop_seed, data_seed, n_programs, n_docs, skew
 ):
-    """Arbitrary batches, one program included, x ragged documents: each
-    row equals the reference and the program's own one-program sweep,
-    bit for bit."""
-    sequences = _random_sequences(Random(data_seed), n_docs, 7)
+    """Arbitrary batches, a division-only program included, x up to 64
+    ragged documents of up to 40 words, mostly short ones, so the active
+    prefix halves -- and the bank narrows -- more than once in one
+    block: each row equals the reference and the program's own
+    one-program sweep, and each per-word trace the reference trace, bit
+    for bit."""
+    sequences = _skewed_sequences(Random(data_seed), n_docs, 40, skew)
     programs = _random_population(n_programs, seed=pop_seed)
+    programs.append(_division_only(programs[-1]))
     engine = _engine()
     packed = engine.pack(sequences)
     fused = engine.outputs(programs, packed)
+    traces = engine.word_outputs(programs, packed)
     for i, program in enumerate(programs):
         assert np.array_equal(fused[i], EVALUATOR.outputs(program, packed))
         assert np.array_equal(fused[i], engine.outputs([program], packed)[0])
+        for sequence, trace in zip(sequences, traces[i]):
+            assert np.array_equal(trace, program.trace_sequence(sequence))
 
 
 def test_multi_block_sweeps_match_one_block(monkeypatch):

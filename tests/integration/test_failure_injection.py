@@ -90,31 +90,3 @@ def test_malformed_manifest_json(tmp_path, corpus):
     (tmp_path / "arrays-00.npz").write_bytes(b"junk")
     with pytest.raises((PersistenceError, json.JSONDecodeError, ValueError)):
         load_pipeline(tmp_path, corpus)
-
-
-def test_truncated_arrays_npz(tmp_path, corpus):
-    manifest = {
-        "format_version": 2,
-        "arrays": "arrays-00.npz",
-        "config": {
-            "feature_method": "mi", "n_features": 10, "som_epochs": 2,
-            "char_shape": [7, 13], "word_shape": [8, 8],
-            "min_hit_mass": 0.5, "max_sequence_length": None,
-            "n_restarts": 1, "use_dss": True, "dynamic_pages": True,
-            "recurrent": True, "seed": 0,
-            "gp": {
-                "population_size": 125, "tournaments": 10, "n_registers": 8,
-                "n_inputs": 2, "output_register": 0, "node_limit": 64,
-                "max_page_size": 8, "p_crossover": 0.9, "p_mutation": 0.5,
-                "p_swap": 0.9, "instruction_ratio": [0, 4, 1],
-                "plateau_window": 10, "constant_range": 256, "seed": 0,
-            },
-        },
-        "feature_set": {"method": "mi", "scope": "category", "per_category": {}},
-        "categories": [], "classifiers": {}, "encoders": {},
-        "char_som": {"rows": 7, "cols": 13, "epochs": 2, "seed": 0},
-    }
-    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-    (tmp_path / manifest["arrays"]).write_bytes(b"PK\x03\x04 truncated")
-    with pytest.raises(Exception):
-        load_pipeline(tmp_path, corpus)

@@ -60,6 +60,52 @@ def test_weighted_batch_equals_repeated_inputs():
     np.testing.assert_allclose(som_weighted.weights, som_repeated.weights, atol=1e-9)
 
 
+def _two_matrix_train_batch(trainer, som, data, sample_weights):
+    """The batch loop as it was written before it shared one distance
+    matrix per epoch: BMUs from a fresh matrix before each update, the
+    quantization error from another after it."""
+    radii = trainer._radius_schedule(som)
+    awc, qe = [], []
+    for epoch in range(trainer.epochs):
+        before = som.weights.copy()
+        bmus = som.bmus(data)
+        kernel = np.exp(-som._grid_dist2 / (2.0 * max(radii[epoch], 1e-9) ** 2))
+        sums = np.zeros_like(som.weights)
+        mass = np.zeros(som.n_units)
+        np.add.at(sums, bmus, data * sample_weights[:, None])
+        np.add.at(mass, bmus, sample_weights)
+        spread_mass = kernel @ mass
+        spread_sums = kernel @ sums
+        updated = spread_mass > 1e-12
+        som.weights[updated] = spread_sums[updated] / spread_mass[updated, None]
+        awc.append(float(np.abs(som.weights - before).mean()))
+        min_dist = som.distances(data).min(axis=1)
+        qe.append(float(np.average(min_dist, weights=sample_weights)))
+    return awc, qe
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_batch_training_matches_the_two_matrix_loop(weighted):
+    """One distance matrix per epoch (the one an epoch ends with gives
+    its quantization error and the next epoch's BMUs) trains the same
+    map, bit for bit, with the same AWC and quantization-error history."""
+    rng = np.random.default_rng(11)
+    data = np.vstack([_clustered_data(4), rng.random((30, 2))])
+    weights = rng.integers(1, 6, size=len(data)).astype(float)
+    if not weighted:
+        weights = np.ones(len(data))
+    trainer = SomTrainer(epochs=9, seed=4)
+    som = SelfOrganizingMap(4, 5, 2, seed=4, data=data)
+    reference = som.copy()
+    history = trainer.train_batch(
+        som, data, sample_weights=weights if weighted else None
+    )
+    awc, qe = _two_matrix_train_batch(trainer, reference, data, weights)
+    assert np.array_equal(som.weights, reference.weights)
+    assert history.awc == awc
+    assert history.quantization_error == qe
+
+
 def test_heavily_weighted_cluster_attracts_more_units():
     data = np.array([[0.0, 0.0], [1.0, 1.0]])
     som = SelfOrganizingMap(4, 4, 2, seed=4, data=data)
